@@ -12,54 +12,63 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"statebench/internal/aws/lambda"
 	"statebench/internal/aws/sfn"
+	"statebench/internal/obs/instr"
 	"statebench/internal/platform"
 	"statebench/internal/sim"
 )
 
 func main() {
-	defPath := flag.String("definition", "", "path to ASL JSON definition (required)")
-	inputJSON := flag.String("input", "{}", "execution input (JSON)")
-	busy := flag.Duration("busy", 100*time.Millisecond, "simulated compute per task")
-	seed := flag.Uint64("seed", 1, "simulation seed")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "sfnrun:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, executes the definition, and writes the report to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("sfnrun", flag.ContinueOnError)
+	defPath := fs.String("definition", "", "path to ASL JSON definition (required)")
+	inputJSON := fs.String("input", "{}", "execution input (JSON)")
+	busy := fs.Duration("busy", 100*time.Millisecond, "simulated compute per task")
+	seed := fs.Uint64("seed", 1, "simulation seed")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *defPath == "" {
-		fmt.Fprintln(os.Stderr, "sfnrun: -definition is required")
-		os.Exit(2)
+		return errors.New("-definition is required")
 	}
 	data, err := os.ReadFile(*defPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sfnrun:", err)
-		os.Exit(1)
+		return err
 	}
 	machine, err := sfn.ParseDefinition(data)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sfnrun:", err)
-		os.Exit(1)
+		return err
 	}
 	var input any
 	if err := json.Unmarshal([]byte(*inputJSON), &input); err != nil {
-		fmt.Fprintln(os.Stderr, "sfnrun: bad -input:", err)
-		os.Exit(2)
+		return fmt.Errorf("bad -input: %w", err)
 	}
 
 	k := sim.NewKernel(*seed)
 	params := platform.DefaultAWS()
-	lsvc := lambda.New(k, params)
+	lsvc := lambda.New(k, params, &instr.Hooks{})
 	svc := sfn.New(k, params, lsvc)
 
 	// Register an echo function for every Task resource.
 	registerTasks(machine, lsvc, *busy)
 	if err := svc.CreateStateMachine("main", machine); err != nil {
-		fmt.Fprintln(os.Stderr, "sfnrun:", err)
-		os.Exit(1)
+		return err
 	}
 
 	var exec *sfn.Execution
@@ -68,18 +77,18 @@ func main() {
 	})
 	k.Run()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sfnrun:", err)
-		os.Exit(1)
+		return err
 	}
 	out, _ := json.MarshalIndent(exec.Output, "", "  ")
-	fmt.Printf("status:       %v\n", statusOf(exec))
-	fmt.Printf("duration:     %v\n", exec.Duration())
-	fmt.Printf("transitions:  %d\n", exec.Transitions)
-	fmt.Printf("output:       %s\n", out)
-	fmt.Println("history:")
+	fmt.Fprintf(w, "status:       %v\n", statusOf(exec))
+	fmt.Fprintf(w, "duration:     %v\n", exec.Duration())
+	fmt.Fprintf(w, "transitions:  %d\n", exec.Transitions)
+	fmt.Fprintf(w, "output:       %s\n", out)
+	fmt.Fprintln(w, "history:")
 	for _, ev := range exec.History {
-		fmt.Printf("  %-12v %-20s %s\n", ev.At, ev.Type, ev.State)
+		fmt.Fprintf(w, "  %-12v %-20s %s\n", ev.At, ev.Type, ev.State)
 	}
+	return nil
 }
 
 func statusOf(e *sfn.Execution) string {

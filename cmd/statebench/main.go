@@ -60,7 +60,8 @@
 //	-metrics FILE collect runtime metrics, write Prometheus text to FILE
 //	-timeline FILE collect windowed telemetry, write per-window CSV
 //	              (JSON when FILE ends in .json) to FILE
-//	-live ADDR    serve live telemetry (Prometheus /metrics, per-window
+//	-live ADDR    serve live telemetry (Prometheus /metrics with the
+//	              timeline and -metrics families, per-window
 //	              /timeseries.csv, /progress) on ADDR while the run is up
 //	-pprof MODE   write a runtime profile: cpu|heap|mutex
 //	-payload-cache on|off  memoize workload payload computation (default on)
@@ -151,7 +152,7 @@ func main() {
 		os.Exit(2)
 	}
 	var reg *metrics.Registry
-	if *metricsOut != "" {
+	if *metricsOut != "" || *liveAddr != "" {
 		reg = metrics.NewRegistry()
 		opts.Metrics = reg
 	}
@@ -169,7 +170,7 @@ func main() {
 		opts.Timeline = tlc
 	}
 	if *liveAddr != "" {
-		live, err := tseries.ServeLive(*liveAddr, tlc.Snapshot)
+		live, err := tseries.ServeLive(*liveAddr, tlc.Snapshot, reg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "statebench:", err)
 			os.Exit(1)
@@ -179,7 +180,7 @@ func main() {
 	}
 
 	flushMetrics := func() {
-		if reg != nil {
+		if *metricsOut != "" {
 			if err := writeMetricsFile(*metricsOut, reg); err != nil {
 				fmt.Fprintln(os.Stderr, "statebench:", err)
 				os.Exit(1)

@@ -50,7 +50,7 @@ func runTraffic(args []string) {
 		done = tseries.New(tlc.Interval())
 	}
 	if *liveAddr != "" {
-		live, err := tseries.ServeLive(*liveAddr, tlc.Snapshot)
+		live, err := tseries.ServeLive(*liveAddr, tlc.Snapshot, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "statebench traffic:", err)
 			os.Exit(1)

@@ -6,10 +6,8 @@ package aws
 import (
 	"statebench/internal/aws/lambda"
 	"statebench/internal/aws/sfn"
-	"statebench/internal/chaos"
 	"statebench/internal/cloud/blob"
-	"statebench/internal/obs/span"
-	"statebench/internal/obs/tseries"
+	"statebench/internal/obs/instr"
 	"statebench/internal/platform"
 	"statebench/internal/pricing"
 	"statebench/internal/sim"
@@ -23,33 +21,16 @@ type Cloud struct {
 	S3     *blob.Store
 }
 
-// New builds a Cloud with the given calibration parameters.
-func New(k *sim.Kernel, params platform.AWSParams) *Cloud {
-	lsvc := lambda.New(k, params)
+// New builds a Cloud with the given calibration parameters; every
+// service reads its instrumentation through hooks.
+func New(k *sim.Kernel, params platform.AWSParams, hooks *instr.Hooks) *Cloud {
+	lsvc := lambda.New(k, params, hooks)
 	return &Cloud{
 		Params: params,
 		Lambda: lsvc,
 		SFN:    sfn.New(k, params, lsvc),
 		S3:     blob.New(k, "s3", blob.DefaultParams()),
 	}
-}
-
-// SetTracer enables span emission on Lambda and Step Functions.
-func (c *Cloud) SetTracer(tr *span.Tracer) {
-	c.Lambda.Tracer = tr
-	c.SFN.Tracer = tr
-}
-
-// SetChaos enables fault injection on Lambda and Step Functions.
-func (c *Cloud) SetChaos(inj *chaos.Injector) {
-	c.Lambda.Chaos = inj
-	c.SFN.Chaos = inj
-}
-
-// SetTimeline enables per-window warm-pool occupancy gauges on the
-// Lambda container pools (Step Functions holds no instances).
-func (c *Cloud) SetTimeline(s *tseries.Series) {
-	c.Lambda.SetTimeline(s)
 }
 
 // ResetMeters zeroes billing meters and storage stats across services,

@@ -5,13 +5,14 @@ import (
 	"time"
 
 	"statebench/internal/aws/lambda"
+	"statebench/internal/obs/instr"
 	"statebench/internal/platform"
 	"statebench/internal/sim"
 )
 
 func TestCloudAssembly(t *testing.T) {
 	k := sim.NewKernel(1)
-	c := New(k, platform.DefaultAWS())
+	c := New(k, platform.DefaultAWS(), &instr.Hooks{})
 	if c.Lambda == nil || c.SFN == nil || c.S3 == nil {
 		t.Fatal("cloud incomplete")
 	}

@@ -10,8 +10,8 @@ import (
 	"time"
 
 	"statebench/internal/chaos"
+	"statebench/internal/obs/instr"
 	"statebench/internal/obs/span"
-	"statebench/internal/obs/tseries"
 	"statebench/internal/platform"
 	"statebench/internal/sim"
 	"statebench/internal/trace"
@@ -119,34 +119,28 @@ type Service struct {
 	// Logs, when non-nil, receives a CloudWatch-style record per
 	// invocation, cold start, and error.
 	Logs *trace.Collector
-	// Tracer, when non-nil, emits X-Ray-style spans per invocation:
-	// an invoke span wrapping queue/coldstart/exec child spans.
-	Tracer *span.Tracer
-	// Chaos, when non-nil, can fail invocations with transient errors,
-	// kill the executing container mid-invoke (the warm container is
-	// lost), or stretch execution past the configured timeout.
-	Chaos *chaos.Injector
-	// timeline, when non-nil, receives warm-pool occupancy gauges from
-	// every function's container pool (pure observation).
-	timeline *tseries.Series
+	// hooks is the deployment's instrumentation bundle: its tracer gets
+	// X-Ray-style spans per invocation (an invoke span wrapping
+	// queue/coldstart/exec children); its injector can fail invocations
+	// with transient errors, kill the executing container mid-invoke
+	// (the warm container is lost), or stretch execution past the
+	// configured timeout; its timeline gets every function's warm-pool
+	// occupancy.
+	hooks *instr.Hooks
 }
 
-// New creates a Lambda service with the given calibration parameters.
-func New(k *sim.Kernel, params platform.AWSParams) *Service {
-	return &Service{k: k, rng: k.Stream("aws/lambda"), params: params, fns: make(map[string]*Function)}
+// New creates a Lambda service with the given calibration parameters,
+// instrumented through hooks.
+func New(k *sim.Kernel, params platform.AWSParams, hooks *instr.Hooks) *Service {
+	return &Service{k: k, rng: k.Stream("aws/lambda"), params: params, fns: make(map[string]*Function), hooks: hooks}
 }
 
 // Params returns the service's calibration parameters.
 func (s *Service) Params() platform.AWSParams { return s.params }
 
-// SetTimeline enables per-window warm-pool occupancy gauges on every
-// registered function's container pool, existing and future.
-func (s *Service) SetTimeline(tl *tseries.Series) {
-	s.timeline = tl
-	for _, f := range s.fns {
-		f.pool.Timeline = tl
-	}
-}
+// Hooks returns the service's instrumentation bundle, which services
+// layered on it (Step Functions) share.
+func (s *Service) Hooks() *instr.Hooks { return s.hooks }
 
 // Register adds a function. It validates the memory configuration.
 func (s *Service) Register(cfg Config) (*Function, error) {
@@ -170,7 +164,7 @@ func (s *Service) Register(cfg Config) (*Function, error) {
 	}
 	f := &Function{cfg: cfg, svc: s, slots: sim.NewResource(s.k, s.params.BurstConcurrency)}
 	f.pool.KeepAlive = s.params.KeepAlive
-	f.pool.Timeline = s.timeline
+	f.pool.Hooks = s.hooks
 	s.fns[cfg.Name] = f
 	return f, nil
 }
@@ -226,7 +220,7 @@ func (s *Service) Invoke(p *sim.Proc, name string, payload []byte) (*Invocation,
 	}
 	start := p.Now()
 	caller := p.TraceCtx
-	invSpan := s.Tracer.Start(start, span.KindInvoke, "lambda/"+name, caller)
+	invSpan := s.hooks.Tracer.Start(start, span.KindInvoke, "lambda/"+name, caller)
 	invCtx := invSpan.Context()
 	p.Sleep(s.params.InvokeRTT.Sample(s.rng))
 
@@ -235,7 +229,7 @@ func (s *Service) Invoke(p *sim.Proc, name string, payload []byte) (*Invocation,
 	f.slots.Acquire(p)
 	queueDelay := p.Now() - qStart
 	if queueDelay > 0 {
-		s.Tracer.Emit(span.KindQueue, "lambda/admission/"+name, qStart, p.Now(), invCtx)
+		s.hooks.Tracer.Emit(span.KindQueue, "lambda/admission/"+name, qStart, p.Now(), invCtx)
 	}
 
 	inv := &Invocation{QueueDelay: queueDelay}
@@ -254,17 +248,17 @@ func (s *Service) Invoke(p *sim.Proc, name string, payload []byte) (*Invocation,
 		f.pool.RecordCold(delay)
 		coldStart := p.Now()
 		p.Sleep(delay)
-		s.Tracer.Emit(span.KindCold, "lambda/cold/"+name, coldStart, p.Now(), invCtx)
+		s.hooks.Tracer.Emit(span.KindCold, "lambda/cold/"+name, coldStart, p.Now(), invCtx)
 	}
 
 	var fault chaos.Fault
 	faulted := false
-	if s.Chaos != nil {
-		fault, faulted = s.Chaos.Next(invCtx, "lambda", name)
+	if s.hooks.Chaos != nil {
+		fault, faulted = s.hooks.Chaos.Next(invCtx, "lambda", name)
 	}
 
 	execStart := p.Now()
-	execSpan := s.Tracer.Start(execStart, span.KindExec, "lambda/exec/"+name, invCtx)
+	execSpan := s.hooks.Tracer.Start(execStart, span.KindExec, "lambda/exec/"+name, invCtx)
 	crashed := false
 	var out []byte
 	var err error

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"statebench/internal/obs/instr"
 	"statebench/internal/platform"
 	"statebench/internal/sim"
 )
@@ -28,7 +29,7 @@ func echo(ctx *Context, payload []byte) ([]byte, error) {
 
 func TestRegisterValidation(t *testing.T) {
 	k := sim.NewKernel(1)
-	s := New(k, fixedParams())
+	s := New(k, fixedParams(), &instr.Hooks{})
 	if _, err := s.Register(Config{Name: "f", MemoryMB: 100, Handler: echo}); err == nil {
 		t.Fatal("non-multiple memory accepted")
 	}
@@ -48,7 +49,7 @@ func TestRegisterValidation(t *testing.T) {
 
 func TestColdThenWarm(t *testing.T) {
 	k := sim.NewKernel(1)
-	s := New(k, fixedParams())
+	s := New(k, fixedParams(), &instr.Hooks{})
 	s.MustRegister(Config{Name: "f", MemoryMB: 128, CodeSizeMB: 50, Handler: echo})
 	var first, second *Invocation
 	k.Spawn("client", func(p *sim.Proc) {
@@ -74,7 +75,7 @@ func TestColdThenWarm(t *testing.T) {
 
 func TestKeepAliveExpiry(t *testing.T) {
 	k := sim.NewKernel(1)
-	s := New(k, fixedParams()) // 1 min keep-alive
+	s := New(k, fixedParams(), &instr.Hooks{}) // 1 min keep-alive
 	f := s.MustRegister(Config{Name: "f", MemoryMB: 128, Handler: echo})
 	var again *Invocation
 	k.Spawn("client", func(p *sim.Proc) {
@@ -95,7 +96,7 @@ func TestKeepAliveExpiry(t *testing.T) {
 
 func TestPayloadLimit(t *testing.T) {
 	k := sim.NewKernel(1)
-	s := New(k, fixedParams())
+	s := New(k, fixedParams(), &instr.Hooks{})
 	s.MustRegister(Config{Name: "f", MemoryMB: 128, Handler: echo})
 	var err error
 	k.Spawn("client", func(p *sim.Proc) {
@@ -110,7 +111,7 @@ func TestPayloadLimit(t *testing.T) {
 
 func TestBurstConcurrencyQueues(t *testing.T) {
 	k := sim.NewKernel(1)
-	s := New(k, fixedParams()) // burst = 2
+	s := New(k, fixedParams(), &instr.Hooks{}) // burst = 2
 	slow := func(ctx *Context, payload []byte) ([]byte, error) {
 		ctx.Busy(time.Second)
 		return nil, nil
@@ -138,7 +139,7 @@ func TestBurstConcurrencyQueues(t *testing.T) {
 func TestTimeout(t *testing.T) {
 	k := sim.NewKernel(1)
 	params := fixedParams()
-	s := New(k, params)
+	s := New(k, params, &instr.Hooks{})
 	hang := func(ctx *Context, payload []byte) ([]byte, error) {
 		ctx.Busy(10 * time.Second)
 		return []byte("never"), nil
@@ -161,7 +162,7 @@ func TestTimeout(t *testing.T) {
 
 func TestBillingRoundsTo100ms(t *testing.T) {
 	k := sim.NewKernel(1)
-	s := New(k, fixedParams())
+	s := New(k, fixedParams(), &instr.Hooks{})
 	f := s.MustRegister(Config{Name: "f", MemoryMB: 1536, ConsumedMemMB: 400, Handler: func(ctx *Context, _ []byte) ([]byte, error) {
 		ctx.Busy(110 * time.Millisecond)
 		return nil, nil
@@ -180,7 +181,7 @@ func TestBillingRoundsTo100ms(t *testing.T) {
 
 func TestInvokeUnknownFunction(t *testing.T) {
 	k := sim.NewKernel(1)
-	s := New(k, fixedParams())
+	s := New(k, fixedParams(), &instr.Hooks{})
 	var err error
 	k.Spawn("client", func(p *sim.Proc) { _, err = s.Invoke(p, "ghost", nil) })
 	k.Run()
@@ -191,7 +192,7 @@ func TestInvokeUnknownFunction(t *testing.T) {
 
 func TestHandlerErrorReported(t *testing.T) {
 	k := sim.NewKernel(1)
-	s := New(k, fixedParams())
+	s := New(k, fixedParams(), &instr.Hooks{})
 	boom := errors.New("boom")
 	s.MustRegister(Config{Name: "f", MemoryMB: 128, Handler: func(*Context, []byte) ([]byte, error) {
 		return nil, boom
@@ -210,7 +211,7 @@ func TestHandlerErrorReported(t *testing.T) {
 
 func TestStatsAndMeters(t *testing.T) {
 	k := sim.NewKernel(1)
-	s := New(k, fixedParams())
+	s := New(k, fixedParams(), &instr.Hooks{})
 	s.MustRegister(Config{Name: "f", MemoryMB: 128, Handler: echo})
 	k.Spawn("client", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {

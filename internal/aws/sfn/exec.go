@@ -8,6 +8,7 @@ import (
 
 	"statebench/internal/aws/lambda"
 	"statebench/internal/chaos"
+	"statebench/internal/obs/instr"
 	"statebench/internal/obs/span"
 	"statebench/internal/platform"
 	"statebench/internal/sim"
@@ -24,17 +25,18 @@ type Service struct {
 	// TotalTransitions aggregates billable transitions across all
 	// executions since the last reset.
 	TotalTransitions int64
-	// Tracer, when non-nil, emits an orchestration span per execution
-	// and a transition span per billable state transition.
-	Tracer *span.Tracer
-	// Chaos, when non-nil, can fail Task states with retriable
-	// "States.TaskFailed" errors, driving the Retry/Catch machinery.
-	Chaos *chaos.Injector
+	// hooks is shared with the Lambda service: its tracer gets an
+	// orchestration span per execution and a transition span per
+	// billable state transition; its injector can fail Task states with
+	// retriable "States.TaskFailed" errors, driving the Retry/Catch
+	// machinery.
+	hooks *instr.Hooks
 }
 
-// New creates a Step Functions service bound to a Lambda service.
+// New creates a Step Functions service bound to a Lambda service,
+// sharing its instrumentation bundle.
 func New(k *sim.Kernel, params platform.AWSParams, lsvc *lambda.Service) *Service {
-	return &Service{k: k, rng: k.Stream("aws/sfn"), params: params, lambda: lsvc, machines: make(map[string]*StateMachine)}
+	return &Service{k: k, rng: k.Stream("aws/sfn"), params: params, lambda: lsvc, machines: make(map[string]*StateMachine), hooks: lsvc.Hooks()}
 }
 
 // CreateStateMachine validates and registers a machine under name.
@@ -110,7 +112,7 @@ func (s *Service) StartExecution(p *sim.Proc, name string, input any) (*Executio
 	}
 	exec := &Execution{Machine: name, StartedAt: p.Now(), FirstTaskDelay: -1, svc: s}
 	caller := p.TraceCtx
-	execSpan := s.Tracer.Start(p.Now(), span.KindOrchestration, "sfn/"+name, caller)
+	execSpan := s.hooks.Tracer.Start(p.Now(), span.KindOrchestration, "sfn/"+name, caller)
 	p.TraceCtx = execSpan.Context()
 	out, err := s.runMachine(p, exec, sm, input)
 	p.TraceCtx = caller
@@ -142,7 +144,7 @@ func (e *Execution) transition(p *sim.Proc, state string) {
 	e.svc.TotalTransitions++
 	tStart := p.Now()
 	p.Sleep(e.svc.params.StepTransition.Sample(e.svc.rng))
-	e.svc.Tracer.Emit(span.KindTransition, "sfn/state/"+state, tStart, p.Now(), p.TraceCtx)
+	e.svc.hooks.Tracer.Emit(span.KindTransition, "sfn/state/"+state, tStart, p.Now(), p.TraceCtx)
 	e.record(p, "StateEntered", state)
 }
 
@@ -316,7 +318,7 @@ func (s *Service) runWithRetry(p *sim.Proc, exec *Execution, st *State, effIn an
 		delay := interval * pow(rate, attempts[ri])
 		attempts[ri]++
 		exec.record(p, "RetryScheduled", st.Resource)
-		s.Chaos.NoteRetry(time.Duration(delay * float64(time.Second)))
+		s.hooks.Chaos.NoteRetry(time.Duration(delay * float64(time.Second)))
 		p.Sleep(time.Duration(delay * float64(time.Second)))
 	}
 }
@@ -388,9 +390,9 @@ func (s *Service) runTask(p *sim.Proc, exec *Execution, st *State, effIn any) (a
 	}
 	dStart := p.Now()
 	p.Sleep(s.params.StepTaskDispatch.Sample(s.rng))
-	s.Tracer.Emit(span.KindTransition, "sfn/dispatch/"+st.Resource, dStart, p.Now(), p.TraceCtx)
-	if s.Chaos != nil {
-		if flt, ok := s.Chaos.Next(p.TraceCtx, "sfn", st.Resource); ok {
+	s.hooks.Tracer.Emit(span.KindTransition, "sfn/dispatch/"+st.Resource, dStart, p.Now(), p.TraceCtx)
+	if s.hooks.Chaos != nil {
+		if flt, ok := s.hooks.Chaos.Next(p.TraceCtx, "sfn", st.Resource); ok {
 			// The task fails at the service boundary (worker lost,
 			// throttle, transient 5xx) after Delay of wasted wall time.
 			// Surfacing it as States.TaskFailed drives Retry/Catch.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"statebench/internal/aws/lambda"
+	"statebench/internal/obs/instr"
 	"statebench/internal/platform"
 	"statebench/internal/sim"
 )
@@ -21,7 +22,7 @@ func fixture() (*sim.Kernel, *lambda.Service, *Service) {
 	params.WarmStart = sim.Fixed{D: time.Millisecond}
 	params.StepTransition = sim.Fixed{D: 10 * time.Millisecond}
 	params.StepTaskDispatch = sim.Fixed{D: 20 * time.Millisecond}
-	lsvc := lambda.New(k, params)
+	lsvc := lambda.New(k, params, &instr.Hooks{})
 	return k, lsvc, New(k, params, lsvc)
 }
 

@@ -7,11 +7,9 @@ package azure
 import (
 	"statebench/internal/azure/durable"
 	"statebench/internal/azure/functions"
-	"statebench/internal/chaos"
 	"statebench/internal/cloud/blob"
 	"statebench/internal/cloud/queue"
-	"statebench/internal/obs/span"
-	"statebench/internal/obs/tseries"
+	"statebench/internal/obs/instr"
 	"statebench/internal/platform"
 	"statebench/internal/pricing"
 	"statebench/internal/sim"
@@ -29,13 +27,13 @@ type Cloud struct {
 	// ManualQueues tracks queues created with NewQueue so their
 	// transactions can be summed into the stateful bill.
 	ManualQueues []*queue.Queue
-	tracer       *span.Tracer
-	chaos        *chaos.Injector
 }
 
-// New builds a Cloud with the given calibration parameters.
-func New(k *sim.Kernel, params platform.AzureParams) *Cloud {
-	host := functions.NewHost(k, "app", params)
+// New builds a Cloud with the given calibration parameters; every
+// service, including queues created later with NewQueue, reads its
+// instrumentation through hooks.
+func New(k *sim.Kernel, params platform.AzureParams, hooks *instr.Hooks) *Cloud {
+	host := functions.NewHost(k, "app", params, hooks)
 	hub := durable.NewHub(k, host, "hub")
 	return &Cloud{
 		Params: params,
@@ -47,42 +45,12 @@ func New(k *sim.Kernel, params platform.AzureParams) *Cloud {
 	}
 }
 
-// SetTracer enables span emission across the host, the task hub, and
-// every manual queue (existing and future).
-func (c *Cloud) SetTracer(tr *span.Tracer) {
-	c.tracer = tr
-	c.Host.Tracer = tr
-	c.Hub.SetTracer(tr)
-	for _, q := range c.ManualQueues {
-		q.Tracer = tr
-	}
-}
-
-// SetChaos enables fault injection across the host, the task hub, and
-// every manual queue (existing and future).
-func (c *Cloud) SetChaos(inj *chaos.Injector) {
-	c.chaos = inj
-	c.Host.Chaos = inj
-	c.Hub.SetChaos(inj)
-	for _, q := range c.ManualQueues {
-		q.Chaos = inj
-	}
-}
-
-// SetTimeline enables per-window telemetry gauges on the function app:
-// dispatch-queue depth and ready-instance occupancy.
-func (c *Cloud) SetTimeline(s *tseries.Series) {
-	c.Host.SetTimeline(s)
-}
-
 // NewQueue creates a manually managed storage queue (Az-Queue style)
 // whose transactions are tracked for billing.
 func (c *Cloud) NewQueue(name string) *queue.Queue {
 	qp := queue.DefaultParams()
 	qp.MaxPayload = c.Params.QueuePayloadLimit
-	q := queue.New(c.k, name, qp)
-	q.Tracer = c.tracer
-	q.Chaos = c.chaos
+	q := queue.New(c.k, name, qp, c.Host.Hooks())
 	c.ManualQueues = append(c.ManualQueues, q)
 	return q
 }

@@ -4,13 +4,14 @@ import (
 	"testing"
 
 	"statebench/internal/azure/functions"
+	"statebench/internal/obs/instr"
 	"statebench/internal/platform"
 	"statebench/internal/sim"
 )
 
 func TestCloudAssembly(t *testing.T) {
 	k := sim.NewKernel(1)
-	c := New(k, platform.DefaultAzure())
+	c := New(k, platform.DefaultAzure(), &instr.Hooks{})
 	if c.Host == nil || c.Hub == nil || c.Client == nil || c.Blob == nil {
 		t.Fatal("cloud incomplete")
 	}

@@ -8,6 +8,7 @@ import (
 
 	"statebench/internal/azure/functions"
 	"statebench/internal/chaos"
+	"statebench/internal/obs/instr"
 	"statebench/internal/platform"
 	"statebench/internal/sim"
 )
@@ -26,11 +27,10 @@ func chaosFixture(seed uint64, plan *chaos.Plan) (*sim.Kernel, *functions.Host, 
 	params.EntityOpOverhead = sim.Fixed{D: 20 * time.Millisecond}
 	params.EntityStateRTT = sim.Fixed{D: 20 * time.Millisecond}
 	params.HistoryReplayPerEvent = 5 * time.Millisecond
-	h := functions.NewHost(k, "app", params)
+	h := functions.NewHost(k, "app", params, &instr.Hooks{})
 	hub := NewHub(k, h, "hub")
 	inj := chaos.NewInjector(k, plan)
-	h.Chaos = inj
-	hub.SetChaos(inj)
+	h.Hooks().Chaos = inj
 	return k, h, hub, NewClient(hub), inj
 }
 

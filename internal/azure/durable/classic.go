@@ -6,10 +6,9 @@ import (
 	"hash/fnv"
 	"time"
 
-	"statebench/internal/chaos"
 	"statebench/internal/cloud/queue"
 	"statebench/internal/cloud/table"
-	"statebench/internal/obs/span"
+	"statebench/internal/obs/instr"
 	"statebench/internal/platform"
 	"statebench/internal/sim"
 )
@@ -39,16 +38,16 @@ type classicStore struct {
 // (work-item queue, history, instances, control partitions) is part of
 // the determinism contract with pre-seam builds: every named RNG
 // stream and kernel allocation happens in the same sequence.
-func newClassicStore(k *sim.Kernel, name string, params platform.AzureParams) *classicStore {
+func newClassicStore(k *sim.Kernel, name string, params platform.AzureParams, hooks *instr.Hooks) *classicStore {
 	s := &classicStore{
 		k:         k,
 		params:    params,
-		workItems: queue.New(k, name+"-workitems", durableQueueParams(params)),
+		workItems: queue.New(k, name+"-workitems", durableQueueParams(params), hooks),
 		history:   table.New(k, name+"-history", table.DefaultParams()),
 		instances: table.New(k, name+"-instances", table.DefaultParams()),
 	}
 	for i := 0; i < params.ControlQueuePartitions; i++ {
-		s.control = append(s.control, queue.New(k, fmt.Sprintf("%s-control-%02d", name, i), durableQueueParams(params)))
+		s.control = append(s.control, queue.New(k, fmt.Sprintf("%s-control-%02d", name, i), durableQueueParams(params), hooks))
 		s.kickers = append(s.kickers, newKicker(k))
 	}
 	s.wiKick = newKicker(k)
@@ -224,23 +223,6 @@ func (s *classicStore) ResetStats() {
 	}
 	s.history.ResetStats()
 	s.instances.ResetStats()
-}
-
-// SetTracer implements Store: queue hops emit their own spans.
-func (s *classicStore) SetTracer(tr *span.Tracer) {
-	s.workItems.Tracer = tr
-	for _, q := range s.control {
-		q.Tracer = tr
-	}
-}
-
-// SetChaos implements Store: at-least-once delivery faults
-// (redelivery, duplicates) inject at the queues.
-func (s *classicStore) SetChaos(inj *chaos.Injector) {
-	s.workItems.Chaos = inj
-	for _, q := range s.control {
-		q.Chaos = inj
-	}
 }
 
 // pollLoop drains q, backing off while idle, waking early on kicks.

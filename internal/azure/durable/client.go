@@ -131,7 +131,7 @@ func (c *Client) StartOrchestration(p *sim.Proc, name string, input []byte) (*Ha
 	}
 	id := h.newInstanceID(name)
 	st := &orchState{id: id, name: name, handle: newHandle(h, id, p.Now())}
-	st.orchSpan = h.Tracer.Start(p.Now(), span.KindOrchestration, "durable/"+name, p.TraceCtx)
+	st.orchSpan = h.hooks.Tracer.Start(p.Now(), span.KindOrchestration, "durable/"+name, p.TraceCtx)
 	st.tctx = st.orchSpan.Context()
 	h.orchs[id] = st
 

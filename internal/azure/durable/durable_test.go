@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"statebench/internal/azure/functions"
+	"statebench/internal/obs/instr"
 	"statebench/internal/platform"
 	"statebench/internal/sim"
 )
@@ -26,7 +27,7 @@ func fixture() (*sim.Kernel, *functions.Host, *Hub, *Client) {
 	params.EntityOpOverhead = sim.Fixed{D: 20 * time.Millisecond}
 	params.EntityStateRTT = sim.Fixed{D: 20 * time.Millisecond}
 	params.HistoryReplayPerEvent = 5 * time.Millisecond
-	h := functions.NewHost(k, "app", params)
+	h := functions.NewHost(k, "app", params, &instr.Hooks{})
 	hub := NewHub(k, h, "hub")
 	return k, h, hub, NewClient(hub)
 }

@@ -131,7 +131,7 @@ func (h *Hub) entityEpisodeHandler(name string) functions.Handler {
 			opStart := p.Now()
 			p.Sleep(h.params.EntityOpOverhead.Sample(h.rng))
 			out, err := fn(ectx, m.Op, m.Input)
-			h.Tracer.Emit(span.KindEntityOp, "entity/"+est.name+"."+m.Op, opStart, p.Now(), m.traceCtx())
+			h.hooks.Tracer.Emit(span.KindEntityOp, "entity/"+est.name+"."+m.Op, opStart, p.Now(), m.traceCtx())
 			if m.Signal {
 				continue
 			}

@@ -99,8 +99,8 @@ func (h *Hub) episodeHandler(name string) functions.Handler {
 		epStart := p.Now()
 		replayed := 0
 		defer func() {
-			if h.Tracer != nil {
-				h.Tracer.Emit(span.KindEpisode, "durable/episode/"+name, epStart, p.Now(), st.tctx,
+			if h.hooks.Tracer != nil {
+				h.hooks.Tracer.Emit(span.KindEpisode, "durable/episode/"+name, epStart, p.Now(), st.tctx,
 					span.A("replayEvents", strconv.Itoa(replayed)))
 			}
 		}()
@@ -110,8 +110,8 @@ func (h *Hub) episodeHandler(name string) functions.Handler {
 		// crash between persistence and message acknowledgment (the
 		// window that forces replay to deduplicate history rows).
 		crashAfter := false
-		if h.Chaos != nil {
-			if flt, ok := h.Chaos.Next(st.tctx, "durable", name); ok {
+		if h.hooks.Chaos != nil {
+			if flt, ok := h.hooks.Chaos.Next(st.tctx, "durable", name); ok {
 				if flt.Kind == chaos.CrashAfterPersist {
 					crashAfter = true
 				} else {
@@ -313,8 +313,8 @@ func (h *Hub) completeOrch(st *orchState, now sim.Time, settle time.Duration, na
 // after the control-queue visibility timeout, modeling redelivery of
 // its unacknowledged messages (already back in st.inbox).
 func (h *Hub) redeliverEpisode(st *orchState) {
-	delay := h.Chaos.RedeliveryDelay()
-	h.Chaos.NoteRecovery(delay)
+	delay := h.hooks.Chaos.RedeliveryDelay()
+	h.hooks.Chaos.NoteRecovery(delay)
 	h.k.After(delay, func() {
 		st.active = false
 		h.activateOrch(st)
@@ -347,7 +347,7 @@ func (h *Hub) dispatchAction(instance string, act action) {
 		child := h.newInstanceID(act.name)
 		st := &orchState{id: child, name: act.name, parent: instance, parentTask: act.taskID,
 			handle: newHandle(h, child, h.k.Now())}
-		st.orchSpan = h.Tracer.Start(h.k.Now(), span.KindOrchestration, "durable/"+act.name, octx)
+		st.orchSpan = h.hooks.Tracer.Start(h.k.Now(), span.KindOrchestration, "durable/"+act.name, octx)
 		st.tctx = st.orchSpan.Context()
 		h.orchs[child] = st
 		_ = h.send(stamped(message{Kind: kindExecutionStarted, Instance: child, Input: act.input}, st.tctx))

@@ -22,9 +22,9 @@ import (
 	"time"
 
 	"statebench/internal/azure/functions"
-	"statebench/internal/chaos"
 	"statebench/internal/cloud/queue"
 	"statebench/internal/cloud/table"
+	"statebench/internal/obs/instr"
 	"statebench/internal/obs/span"
 	"statebench/internal/platform"
 	"statebench/internal/sim"
@@ -158,21 +158,21 @@ type Hub struct {
 	EpisodeCount int64
 	ReplayEvents int64
 
-	// Tracer, when non-nil, emits orchestration/episode/entity-op spans
-	// (queue hops are emitted by the queues themselves).
-	Tracer *span.Tracer
-
-	// Chaos, when non-nil, can crash orchestrator episodes before or
-	// after history persistence; the triggering control messages are
-	// then redelivered and event-sourcing replay recovers the run.
-	Chaos *chaos.Injector
+	// hooks is shared with the host: its tracer gets
+	// orchestration/episode/entity-op spans (queue hops are emitted by
+	// the queues themselves); its injector can crash orchestrator
+	// episodes before or after history persistence, after which the
+	// triggering control messages are redelivered and event-sourcing
+	// replay recovers the run.
+	hooks *instr.Hooks
 }
 
 // NewHub creates a task hub on host with the classic Azure Storage
 // store: billed control/work-item queues, history table, and polling
-// listeners.
+// listeners. The hub and its store share the host's instrumentation
+// bundle.
 func NewHub(k *sim.Kernel, host *functions.Host, name string) *Hub {
-	return NewHubWithStore(k, host, name, newClassicStore(k, name, host.Params()))
+	return NewHubWithStore(k, host, name, newClassicStore(k, name, host.Params(), host.Hooks()))
 }
 
 // NewHubWithStore creates a task hub on host backed by an arbitrary
@@ -189,25 +189,11 @@ func NewHubWithStore(k *sim.Kernel, host *functions.Host, name string, store Sto
 		entities:      make(map[string]EntityFn),
 		orchs:         make(map[string]*orchState),
 		ents:          make(map[string]*entityState),
+		hooks:         host.Hooks(),
 	}
 	host.OnHTTPActivity(h.KickAll)
 	store.Start(h)
 	return h
-}
-
-// SetTracer enables span emission on the hub and its store. Call
-// before running workloads (core.Env.EnableTracing does).
-func (h *Hub) SetTracer(tr *span.Tracer) {
-	h.Tracer = tr
-	h.store.SetTracer(tr)
-}
-
-// SetChaos enables fault injection on the hub's episode execution and
-// on its store. Call before running workloads (core.Env.EnableChaos
-// does).
-func (h *Hub) SetChaos(inj *chaos.Injector) {
-	h.Chaos = inj
-	h.store.SetChaos(inj)
 }
 
 // Host returns the function app this hub runs on.

@@ -3,8 +3,6 @@ package durable
 import (
 	"time"
 
-	"statebench/internal/chaos"
-	"statebench/internal/obs/span"
 	"statebench/internal/sim"
 )
 
@@ -109,12 +107,6 @@ type Store interface {
 	Transactions() int64
 	// ResetStats zeroes the transaction counters.
 	ResetStats()
-
-	// SetTracer enables span emission on the store's transports.
-	SetTracer(tr *span.Tracer)
-	// SetChaos enables fault injection on the store's transports and
-	// commit path.
-	SetChaos(inj *chaos.Injector)
 }
 
 // DeliverControl routes a control envelope into the hub from kernel

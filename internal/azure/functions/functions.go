@@ -11,10 +11,9 @@ import (
 	"sort"
 	"time"
 
-	"statebench/internal/chaos"
 	"statebench/internal/cloud/queue"
+	"statebench/internal/obs/instr"
 	"statebench/internal/obs/span"
-	"statebench/internal/obs/tseries"
 	"statebench/internal/platform"
 	"statebench/internal/sim"
 	"statebench/internal/trace"
@@ -125,18 +124,14 @@ type Host struct {
 	// record per execution, cold start, and error.
 	Logs *trace.Collector
 
-	// Tracer, when non-nil, emits spans per execution: scheduling
-	// delay (queue or coldstart) plus handler exec.
-	Tracer *span.Tracer
-
-	// Chaos, when non-nil, can recycle the worker instance as it picks
-	// up a work item: the instance dies, the item is re-queued, and a
-	// fresh (possibly cold) instance retries it.
-	Chaos *chaos.Injector
-
-	// timeline, when non-nil, receives dispatch-queue depth and (via the
-	// instance pool) ready-instance occupancy gauges (pure observation).
-	timeline *tseries.Series
+	// hooks is the deployment's instrumentation bundle: its tracer gets
+	// spans per execution (scheduling delay as queue or coldstart, plus
+	// handler exec); its injector can recycle the worker instance as it
+	// picks up a work item (the instance dies, the item is re-queued,
+	// and a fresh, possibly cold, instance retries it); its timeline
+	// gets dispatch-queue depth and, via the instance pool,
+	// ready-instance occupancy (pure observation).
+	hooks *instr.Hooks
 
 	// scaledFromZeroAt records when the app last left the
 	// scaled-to-zero state; queue listeners activating shortly after
@@ -152,16 +147,19 @@ type Host struct {
 	stop            *sim.Future[struct{}]
 }
 
-// NewHost creates an app named name, scaled to zero.
-func NewHost(k *sim.Kernel, name string, params platform.AzureParams) *Host {
+// NewHost creates an app named name, scaled to zero, instrumented
+// through hooks.
+func NewHost(k *sim.Kernel, name string, params platform.AzureParams, hooks *instr.Hooks) *Host {
 	h := &Host{
 		k:      k,
 		rng:    k.Stream("azure/host/" + name),
 		name:   name,
 		params: params,
 		fns:    make(map[string]*Function),
+		hooks:  hooks,
 		stop:   sim.NewFuture[struct{}](k),
 	}
+	h.pool.Hooks = hooks
 	return h
 }
 
@@ -184,13 +182,9 @@ func (h *Host) Stats() Stats {
 	return s
 }
 
-// SetTimeline enables per-window telemetry gauges: dispatch-queue depth
-// on every Submit/requeue, plus the instance pool's ready-instance
-// occupancy. Pure observation — no events, no RNG draws.
-func (h *Host) SetTimeline(tl *tseries.Series) {
-	h.timeline = tl
-	h.pool.Timeline = tl
-}
+// Hooks returns the app's instrumentation bundle, which services
+// layered on it (the Durable task hub) share.
+func (h *Host) Hooks() *instr.Hooks { return h.hooks }
 
 // ReadyInstances returns the number of started instances.
 func (h *Host) ReadyInstances() int { return h.pool.Ready() }
@@ -264,7 +258,7 @@ func (h *Host) SubmitCtx(fn string, payload []byte, ctx sim.TraceContext) (*sim.
 		cb()
 	}
 	h.pending = append(h.pending, wi)
-	h.timeline.ObserveQueueDepth(h.k.Now(), int64(len(h.pending)))
+	h.hooks.Timeline.ObserveQueueDepth(h.k.Now(), int64(len(h.pending)))
 	h.dispatch()
 	if h.pool.Provisioning() == 0 {
 		h.startInstance()
@@ -322,12 +316,12 @@ func (h *Host) run(inst *platform.Container, wi *workItem) {
 			if wi.cold {
 				k, n = span.KindCold, "func/cold/"+wi.fn
 			}
-			h.Tracer.Emit(k, n, wi.submitted, p.Now(), wi.ctx)
+			h.hooks.Tracer.Emit(k, n, wi.submitted, p.Now(), wi.ctx)
 		}
 		p.Sleep(h.params.Dispatch.Sample(h.rng))
 
-		if h.Chaos != nil {
-			if flt, ok := h.Chaos.Next(wi.ctx, "azfunc", wi.fn); ok {
+		if h.hooks.Chaos != nil {
+			if flt, ok := h.hooks.Chaos.Next(wi.ctx, "azfunc", wi.fn); ok {
 				// Host recycle: the instance dies before the handler
 				// starts. The burnt ramp-up time is billed, the work
 				// item goes back on the dispatch queue (its result
@@ -337,10 +331,10 @@ func (h *Host) run(inst *platform.Container, wi *workItem) {
 				p.Sleep(flt.Delay)
 				f.Meter.RecordAzure(p.Now()-crashStart, f.cfg.ConsumedMemMB)
 				h.pool.Retire(inst)
-				h.Chaos.NoteRedispatch()
+				h.hooks.Chaos.NoteRedispatch()
 				wi.cold = false
 				h.pending = append(h.pending, wi)
-				h.timeline.ObserveQueueDepth(p.Now(), int64(len(h.pending)))
+				h.hooks.Timeline.ObserveQueueDepth(p.Now(), int64(len(h.pending)))
 				h.dispatch()
 				if h.pool.Provisioning() == 0 {
 					h.startInstance()
@@ -351,7 +345,7 @@ func (h *Host) run(inst *platform.Container, wi *workItem) {
 		}
 
 		execStart := p.Now()
-		execSpan := h.Tracer.Start(execStart, span.KindExec, "func/exec/"+wi.fn, wi.ctx)
+		execSpan := h.hooks.Tracer.Start(execStart, span.KindExec, "func/exec/"+wi.fn, wi.ctx)
 		p.TraceCtx = execSpan.Context()
 		out, err := f.cfg.Handler(&Context{p: p, host: h, fn: f}, wi.payload)
 		p.TraceCtx = wi.ctx
@@ -538,7 +532,7 @@ func (h *Host) QueueTrigger(q *queue.Queue, fn string) error {
 					// Az-Queue cold-start mechanism, Fig 10).
 					actStart := p.Now()
 					p.Sleep(h.params.ColdPollPhase.Sample(h.rng))
-					h.Tracer.Emit(span.KindCold, "func/activation/"+fn, actStart, p.Now(), m.Ctx)
+					h.hooks.Tracer.Emit(span.KindCold, "func/activation/"+fn, actStart, p.Now(), m.Ctx)
 				}
 				if _, err := h.SubmitCtx(fn, m.Body, m.Ctx); err != nil {
 					continue

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"statebench/internal/cloud/queue"
+	"statebench/internal/obs/instr"
 	"statebench/internal/platform"
 	"statebench/internal/sim"
 )
@@ -32,7 +33,7 @@ func busyFn(d time.Duration) Handler {
 
 func TestRegisterValidation(t *testing.T) {
 	k := sim.NewKernel(1)
-	h := NewHost(k, "app", fixedParams())
+	h := NewHost(k, "app", fixedParams(), &instr.Hooks{})
 	if _, err := h.Register(Config{Name: "", Handler: busyFn(0)}); err == nil {
 		t.Fatal("empty name accepted")
 	}
@@ -52,7 +53,7 @@ func TestRegisterValidation(t *testing.T) {
 
 func TestHTTPInvokeColdThenWarm(t *testing.T) {
 	k := sim.NewKernel(1)
-	h := NewHost(k, "app", fixedParams())
+	h := NewHost(k, "app", fixedParams(), &instr.Hooks{})
 	h.MustRegister(Config{Name: "f", ConsumedMemMB: 256, Handler: busyFn(100 * time.Millisecond)})
 	var first, second Result
 	k.Spawn("client", func(p *sim.Proc) {
@@ -84,7 +85,7 @@ func TestHTTPInvokeColdThenWarm(t *testing.T) {
 
 func TestScaleControllerAddsInstancesGradually(t *testing.T) {
 	k := sim.NewKernel(1)
-	h := NewHost(k, "app", fixedParams()) // step 1 per 2s, max 4
+	h := NewHost(k, "app", fixedParams(), &instr.Hooks{}) // step 1 per 2s, max 4
 	h.MustRegister(Config{Name: "slow", Handler: busyFn(20 * time.Second)})
 	futs := make([]*sim.Future[Result], 4)
 	k.Spawn("client", func(p *sim.Proc) {
@@ -126,7 +127,7 @@ func TestMaxInstancesCap(t *testing.T) {
 	k := sim.NewKernel(1)
 	p := fixedParams()
 	p.MaxInstances = 2
-	h := NewHost(k, "app", p)
+	h := NewHost(k, "app", p, &instr.Hooks{})
 	h.MustRegister(Config{Name: "slow", Handler: busyFn(5 * time.Second)})
 	k.Spawn("client", func(pr *sim.Proc) {
 		var futs []*sim.Future[Result]
@@ -154,7 +155,7 @@ func TestInstanceReuseDrainsQueueWithoutNewColdStarts(t *testing.T) {
 	k := sim.NewKernel(1)
 	p := fixedParams()
 	p.ScaleEvalInterval = time.Hour // controller effectively off
-	h := NewHost(k, "app", p)
+	h := NewHost(k, "app", p, &instr.Hooks{})
 	h.MustRegister(Config{Name: "f", Handler: busyFn(100 * time.Millisecond)})
 	done := 0
 	k.Spawn("client", func(pr *sim.Proc) {
@@ -181,7 +182,7 @@ func TestInstanceReuseDrainsQueueWithoutNewColdStarts(t *testing.T) {
 
 func TestIdleInstancesReaped(t *testing.T) {
 	k := sim.NewKernel(1)
-	h := NewHost(k, "app", fixedParams()) // idle timeout 1 min
+	h := NewHost(k, "app", fixedParams(), &instr.Hooks{}) // idle timeout 1 min
 	h.MustRegister(Config{Name: "f", Handler: busyFn(10 * time.Millisecond)})
 	k.Spawn("client", func(p *sim.Proc) {
 		if _, err := h.InvokeHTTP(p, "f", nil); err != nil {
@@ -196,7 +197,7 @@ func TestIdleInstancesReaped(t *testing.T) {
 
 func TestAzureBillingOnConsumedMemory(t *testing.T) {
 	k := sim.NewKernel(1)
-	h := NewHost(k, "app", fixedParams())
+	h := NewHost(k, "app", fixedParams(), &instr.Hooks{})
 	f := h.MustRegister(Config{Name: "f", ConsumedMemMB: 300, Handler: busyFn(2 * time.Second)})
 	k.Spawn("client", func(p *sim.Proc) {
 		if _, err := h.InvokeHTTP(p, "f", nil); err != nil {
@@ -216,7 +217,7 @@ func TestAzureBillingOnConsumedMemory(t *testing.T) {
 
 func TestQueueTriggerExecutesAndBillsPolls(t *testing.T) {
 	k := sim.NewKernel(1)
-	h := NewHost(k, "app", fixedParams())
+	h := NewHost(k, "app", fixedParams(), &instr.Hooks{})
 	var got []byte
 	h.MustRegister(Config{Name: "f", Handler: func(ctx *Context, payload []byte) ([]byte, error) {
 		got = payload
@@ -224,7 +225,7 @@ func TestQueueTriggerExecutesAndBillsPolls(t *testing.T) {
 	}})
 	qp := queue.DefaultParams()
 	qp.MaxPoll = time.Second
-	q := queue.New(k, "trigger", qp)
+	q := queue.New(k, "trigger", qp, &instr.Hooks{})
 	if err := h.QueueTrigger(q, "f"); err != nil {
 		t.Fatal(err)
 	}
@@ -245,13 +246,13 @@ func TestQueueTriggerExecutesAndBillsPolls(t *testing.T) {
 
 func TestQueueTriggerColdPollPhase(t *testing.T) {
 	k := sim.NewKernel(1)
-	h := NewHost(k, "app", fixedParams()) // ColdPollPhase fixed 10s
+	h := NewHost(k, "app", fixedParams(), &instr.Hooks{}) // ColdPollPhase fixed 10s
 	var ranAt time.Duration
 	h.MustRegister(Config{Name: "f", Handler: func(ctx *Context, payload []byte) ([]byte, error) {
 		ranAt = ctx.Proc().Now()
 		return nil, nil
 	}})
-	q := queue.New(k, "trigger", queue.DefaultParams())
+	q := queue.New(k, "trigger", queue.DefaultParams(), &instr.Hooks{})
 	if err := h.QueueTrigger(q, "f"); err != nil {
 		t.Fatal(err)
 	}
@@ -270,9 +271,9 @@ func TestQueueTriggerColdPollPhase(t *testing.T) {
 
 func TestStopTerminatesListeners(t *testing.T) {
 	k := sim.NewKernel(1)
-	h := NewHost(k, "app", fixedParams())
+	h := NewHost(k, "app", fixedParams(), &instr.Hooks{})
 	h.MustRegister(Config{Name: "f", Handler: busyFn(0)})
-	q := queue.New(k, "trigger", queue.DefaultParams())
+	q := queue.New(k, "trigger", queue.DefaultParams(), &instr.Hooks{})
 	if err := h.QueueTrigger(q, "f"); err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +286,7 @@ func TestStopTerminatesListeners(t *testing.T) {
 
 func TestResetMeters(t *testing.T) {
 	k := sim.NewKernel(1)
-	h := NewHost(k, "app", fixedParams())
+	h := NewHost(k, "app", fixedParams(), &instr.Hooks{})
 	h.MustRegister(Config{Name: "f", Handler: busyFn(time.Second)})
 	k.Spawn("client", func(p *sim.Proc) {
 		if _, err := h.InvokeHTTP(p, "f", nil); err != nil {

@@ -33,7 +33,7 @@ func benchClassicEnv() *env {
 
 func benchNetheriteEnv() *env {
 	return newEnvParams(1, nil, benchParams(), func(k *sim.Kernel, h *functions.Host) (*durable.Hub, *netherite.Store) {
-		store := netherite.NewStore(k, "hub", netherite.DefaultPartitions)
+		store := netherite.NewStore(k, "hub", netherite.DefaultPartitions, h.Hooks())
 		return durable.NewHubWithStore(k, h, "hub", store), store
 	})
 }

@@ -3,11 +3,9 @@ package netherite
 import (
 	"statebench/internal/azure/durable"
 	"statebench/internal/azure/functions"
-	"statebench/internal/chaos"
 	"statebench/internal/cloud/blob"
 	"statebench/internal/core"
-	"statebench/internal/obs/span"
-	"statebench/internal/obs/tseries"
+	"statebench/internal/obs/instr"
 	"statebench/internal/platform"
 	"statebench/internal/pricing"
 	"statebench/internal/sim"
@@ -42,10 +40,11 @@ type Cloud struct {
 }
 
 // New builds a Cloud whose task hub runs on a Netherite store with
-// partitions partitions (DefaultPartitions if <= 0).
-func New(k *sim.Kernel, params platform.AzureParams, partitions int) *Cloud {
-	host := functions.NewHost(k, "netherite-app", params)
-	store := NewStore(k, "netherite-hub", partitions)
+// partitions partitions (DefaultPartitions if <= 0); every service
+// reads its instrumentation through hooks.
+func New(k *sim.Kernel, params platform.AzureParams, partitions int, hooks *instr.Hooks) *Cloud {
+	host := functions.NewHost(k, "netherite-app", params, hooks)
+	store := NewStore(k, "netherite-hub", partitions, hooks)
 	hub := durable.NewHubWithStore(k, host, "netherite-hub", store)
 	return &Cloud{
 		Params: params,
@@ -60,23 +59,6 @@ func New(k *sim.Kernel, params platform.AzureParams, partitions int) *Cloud {
 // FromEnv returns the Env's Netherite backend, constructing it on
 // first use. Deployment code uses this the way it uses env.Azure.
 func FromEnv(env *core.Env) *Cloud { return env.Backend(Kind).(*Cloud) }
-
-// SetTracer enables span emission on the host and hub transport.
-func (c *Cloud) SetTracer(tr *span.Tracer) {
-	c.Host.Tracer = tr
-	c.Hub.SetTracer(tr)
-}
-
-// SetChaos enables fault injection on the host and the commit path.
-func (c *Cloud) SetChaos(inj *chaos.Injector) {
-	c.Host.Chaos = inj
-	c.Hub.SetChaos(inj)
-}
-
-// SetTimeline enables per-window telemetry gauges on the function app.
-func (c *Cloud) SetTimeline(s *tseries.Series) {
-	c.Host.SetTimeline(s)
-}
 
 // ResetMeters zeroes compute meters and storage transaction counters.
 func (c *Cloud) ResetMeters() {
@@ -118,7 +100,7 @@ func init() {
 			{Impl: Dorch, Stateful: true, Description: "Durable orchestrators on a Netherite task hub: partitioned, group-committed, speculative commit logs instead of storage queues."},
 			{Impl: Dent, Stateful: true, Description: "Durable entities on a Netherite task hub; entity state lives in the partition logs."},
 		},
-		NewBackend:  func(e *core.Env) core.Backend { return New(e.K, platform.DefaultAzure(), DefaultPartitions) },
+		NewBackend:  func(e *core.Env) core.Backend { return New(e.K, platform.DefaultAzure(), DefaultPartitions, e.Hooks) },
 		DefaultBook: func() pricing.Book { return pricing.DefaultAzure() },
 		// No Traffic profile: the traffic experiment's provider sweep is
 		// calibrated per cloud, not per task-hub backend; the netherite

@@ -7,6 +7,7 @@ import (
 	"statebench/internal/azure/functions"
 	"statebench/internal/azure/netherite"
 	"statebench/internal/chaos"
+	"statebench/internal/obs/instr"
 	"statebench/internal/platform"
 	"statebench/internal/sim"
 )
@@ -46,13 +47,12 @@ func newEnv(seed uint64, plan *chaos.Plan, mkHub func(k *sim.Kernel, h *function
 
 func newEnvParams(seed uint64, plan *chaos.Plan, params platform.AzureParams, mkHub func(k *sim.Kernel, h *functions.Host) (*durable.Hub, *netherite.Store)) *env {
 	k := sim.NewKernel(seed)
-	host := functions.NewHost(k, "app", params)
+	host := functions.NewHost(k, "app", params, &instr.Hooks{})
 	hub, store := mkHub(k, host)
 	e := &env{k: k, host: host, hub: hub, client: durable.NewClient(hub), store: store}
 	if plan != nil {
 		e.inj = chaos.NewInjector(k, plan)
-		host.Chaos = e.inj
-		hub.SetChaos(e.inj)
+		host.Hooks().Chaos = e.inj
 	}
 	return e
 }
@@ -68,7 +68,7 @@ func classicEnv(seed uint64, plan *chaos.Plan) *env {
 // partition count.
 func netheriteEnv(seed uint64, partitions int, plan *chaos.Plan) *env {
 	return newEnv(seed, plan, func(k *sim.Kernel, h *functions.Host) (*durable.Hub, *netherite.Store) {
-		store := netherite.NewStore(k, "hub", partitions)
+		store := netherite.NewStore(k, "hub", partitions, h.Hooks())
 		return durable.NewHubWithStore(k, h, "hub", store), store
 	})
 }

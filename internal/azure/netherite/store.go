@@ -28,6 +28,7 @@ import (
 
 	"statebench/internal/azure/durable"
 	"statebench/internal/chaos"
+	"statebench/internal/obs/instr"
 	"statebench/internal/obs/span"
 	"statebench/internal/sim"
 )
@@ -90,13 +91,16 @@ type Store struct {
 	lost       int64 // records discarded by lost batches
 	droppedDup int64 // ghost deliveries dropped by seq dedup
 
-	tracer *span.Tracer
-	chaos  *chaos.Injector
+	// hooks is the deployment's instrumentation bundle: transport hops
+	// emit hop spans, and the injector drives commit-batch loss and
+	// duplicate ghost deliveries.
+	hooks *instr.Hooks
 }
 
 // NewStore builds a Netherite store with n partitions
-// (DefaultPartitions if n <= 0). Pass it to durable.NewHubWithStore.
-func NewStore(k *sim.Kernel, name string, n int) *Store {
+// (DefaultPartitions if n <= 0), instrumented through hooks. Pass it
+// to durable.NewHubWithStore.
+func NewStore(k *sim.Kernel, name string, n int, hooks *instr.Hooks) *Store {
 	if n <= 0 {
 		n = DefaultPartitions
 	}
@@ -105,6 +109,7 @@ func NewStore(k *sim.Kernel, name string, n int) *Store {
 		name:     name,
 		hist:     make(map[string][]durable.Record),
 		entState: make(map[string][]byte),
+		hooks:    hooks,
 	}
 	for i := 0; i < n; i++ {
 		s.partitions = append(s.partitions, &partition{applied: make(map[int64]bool)})
@@ -163,9 +168,9 @@ func (s *Store) transport(m durable.Envelope, work bool) {
 	part.nextSeq++
 	start := s.k.Now()
 	s.deliver(DeliverLatency, part, seq, m, work, start)
-	if s.chaos != nil {
-		if flt, ok := s.chaos.Next(m.TraceCtx(), "netherite-transport", m.Instance); ok && flt.Kind == chaos.Duplicate {
-			s.deliver(DeliverLatency+s.chaos.RedeliveryDelay(), part, seq, m, work, start)
+	if s.hooks.Chaos != nil {
+		if flt, ok := s.hooks.Chaos.Next(m.TraceCtx(), "netherite-transport", m.Instance); ok && flt.Kind == chaos.Duplicate {
+			s.deliver(DeliverLatency+s.hooks.Chaos.RedeliveryDelay(), part, seq, m, work, start)
 		}
 	}
 }
@@ -179,8 +184,8 @@ func (s *Store) deliver(delay time.Duration, part *partition, seq int64, m durab
 			return
 		}
 		part.applied[seq] = true
-		if s.tracer.Enabled() {
-			s.tracer.Emit(span.KindHop, "netherite/"+s.name, start, s.k.Now(), m.TraceCtx())
+		if s.hooks.Tracer.Enabled() {
+			s.hooks.Tracer.Emit(span.KindHop, "netherite/"+s.name, start, s.k.Now(), m.TraceCtx())
 		}
 		if work {
 			s.hub.DeliverWork(m)
@@ -223,20 +228,20 @@ func (s *Store) CommitEpisode(p *sim.Proc, instance, orchestrator string, tctx s
 	if len(recs) == 0 {
 		return durable.CommitOK, 0
 	}
-	if s.chaos != nil {
-		if flt, ok := s.chaos.Next(tctx, "netherite", orchestrator); ok {
+	if s.hooks.Chaos != nil {
+		if flt, ok := s.hooks.Chaos.Next(tctx, "netherite", orchestrator); ok {
 			switch flt.Kind {
 			case chaos.Crash:
 				s.lost += int64(len(recs))
-				s.chaos.NoteWastedWork(len(recs))
+				s.hooks.Chaos.NoteWastedWork(len(recs))
 				return durable.CommitLost, 0
 			case chaos.CrashAfterPersist:
 				s.append(instance, recs)
 				// The partition is down until it rehydrates from the
 				// committed log; the episode's worker stalls with it, so
 				// the delay propagates to every downstream dispatch.
-				rehydrate := s.chaos.RedeliveryDelay()
-				s.chaos.NoteRecovery(rehydrate)
+				rehydrate := s.hooks.Chaos.RedeliveryDelay()
+				s.hooks.Chaos.NoteRecovery(rehydrate)
 				p.Sleep(rehydrate)
 				_, settle := s.commitWindow(p.Now())
 				return durable.CommitOK, settle
@@ -351,10 +356,3 @@ func (s *Store) PartitionRecords() []int64 {
 	}
 	return out
 }
-
-// SetTracer implements durable.Store: transport hops emit hop spans.
-func (s *Store) SetTracer(tr *span.Tracer) { s.tracer = tr }
-
-// SetChaos implements durable.Store: enables commit-batch loss and
-// duplicate ghost injection.
-func (s *Store) SetChaos(inj *chaos.Injector) { s.chaos = inj }

@@ -24,7 +24,8 @@
 //   - An Injector belongs to one Env/Kernel and is only used from that
 //     kernel's goroutine; it needs no locking.
 //
-// Disabled fast path: services hold a `*Injector` that stays nil unless
+// Disabled fast path: services read their `*Injector` from the
+// deployment's instr.Hooks bundle, where it stays nil unless
 // core.Env.EnableChaos was called. Every method is nil-safe, so the
 // disabled path costs one predictable branch and zero allocations.
 package chaos

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"statebench/internal/chaos"
+	"statebench/internal/obs/instr"
 	"statebench/internal/sim"
 )
 
@@ -32,8 +33,7 @@ func TestAtLeastOnceProperty(t *testing.T) {
 				{Component: "queue", Kind: chaos.Redeliver, Rate: 0.3},
 				{Component: "queue", Kind: chaos.Duplicate, Rate: 0.2},
 			}})
-			q := New(k, "prop", chaosParams(4))
-			q.Chaos = inj
+			q := New(k, "prop", chaosParams(4), &instr.Hooks{Chaos: inj})
 
 			seen := map[int64]int{}
 			lastNow := sim.Time(0)
@@ -96,8 +96,7 @@ func TestPoisonMessageDeadLetters(t *testing.T) {
 	inj := chaos.NewInjector(k, &chaos.Plan{Rules: []chaos.Rule{
 		{Component: "queue", Kind: chaos.Redeliver, Rate: 1},
 	}})
-	q := New(k, "poison", chaosParams(3))
-	q.Chaos = inj
+	q := New(k, "poison", chaosParams(3), &instr.Hooks{Chaos: inj})
 	delivered := 0
 	k.Spawn("driver", func(p *sim.Proc) {
 		if err := q.Enqueue(p, []byte("bad")); err != nil {
@@ -139,8 +138,7 @@ func TestUnlimitedRedeliveryNeverPoisons(t *testing.T) {
 	inj := chaos.NewInjector(k, &chaos.Plan{Rules: []chaos.Rule{
 		{Component: "queue", Kind: chaos.Redeliver, Rate: 1, MaxFaults: 7},
 	}})
-	q := New(k, "ctrl", chaosParams(0))
-	q.Chaos = inj
+	q := New(k, "ctrl", chaosParams(0), &instr.Hooks{Chaos: inj})
 	delivered := 0
 	k.Spawn("driver", func(p *sim.Proc) {
 		if err := q.Enqueue(p, []byte("msg")); err != nil {
@@ -175,8 +173,7 @@ func TestTransactionsCountsChaosOps(t *testing.T) {
 	inj := chaos.NewInjector(k, &chaos.Plan{Rules: []chaos.Rule{
 		{Component: "queue", Kind: chaos.Redeliver, Rate: 1, MaxFaults: 2},
 	}})
-	q := New(k, "bill", chaosParams(2))
-	q.Chaos = inj
+	q := New(k, "bill", chaosParams(2), &instr.Hooks{Chaos: inj})
 	k.Spawn("driver", func(p *sim.Proc) {
 		// Message 1 fails twice and dead-letters (MaxDequeueCount=2);
 		// message 2 is enqueued after the fault budget is drained and
@@ -226,8 +223,7 @@ func TestDuplicateDeliveryGhost(t *testing.T) {
 	inj := chaos.NewInjector(k, &chaos.Plan{Rules: []chaos.Rule{
 		{Component: "queue", Kind: chaos.Duplicate, Rate: 1, MaxFaults: 1},
 	}})
-	q := New(k, "dup", chaosParams(5))
-	q.Chaos = inj
+	q := New(k, "dup", chaosParams(5), &instr.Hooks{Chaos: inj})
 	var ids []int64
 	k.Spawn("driver", func(p *sim.Proc) {
 		if err := q.Enqueue(p, []byte("m")); err != nil {

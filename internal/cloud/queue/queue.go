@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"statebench/internal/chaos"
+	"statebench/internal/obs/instr"
 	"statebench/internal/obs/span"
 	"statebench/internal/sim"
 )
@@ -115,22 +116,22 @@ type Queue struct {
 	nextID int64
 	stats  Stats
 
-	// Tracer, when non-nil, receives one KindHop span per delivered
-	// message (enqueue→dequeue), parented to the sender's context.
-	Tracer *span.Tracer
-	// Chaos, when non-nil, can turn a delivery into a redelivery (the
-	// message reappears after VisibilityTimeout, or dead-letters) or a
-	// duplicate (delivered now and again later) — the at-least-once
-	// semantics real storage queues exhibit under consumer failure.
-	Chaos *chaos.Injector
+	// hooks is the deployment's instrumentation bundle: its tracer gets
+	// one KindHop span per delivered message (enqueue→dequeue),
+	// parented to the sender's context; its injector can turn a
+	// delivery into a redelivery (the message reappears after
+	// VisibilityTimeout, or dead-letters) or a duplicate (delivered now
+	// and again later) — the at-least-once semantics real storage
+	// queues exhibit under consumer failure.
+	hooks *instr.Hooks
 }
 
-// New creates an empty queue named name.
-func New(k *sim.Kernel, name string, params Params) *Queue {
+// New creates an empty queue named name, instrumented through hooks.
+func New(k *sim.Kernel, name string, params Params, hooks *instr.Hooks) *Queue {
 	if params.PollBackoff < 1 {
 		params.PollBackoff = 1
 	}
-	return &Queue{k: k, rng: k.Stream("queue/" + name), name: name, params: params}
+	return &Queue{k: k, rng: k.Stream("queue/" + name), name: name, params: params, hooks: hooks}
 }
 
 // Name returns the queue name.
@@ -192,8 +193,8 @@ func (q *Queue) TryDequeue(p *sim.Proc) (*Message, bool) {
 	}
 	m := q.msgs[0]
 	dup := false
-	if q.Chaos != nil {
-		if flt, ok := q.Chaos.Next(m.Ctx, "queue", q.name); ok {
+	if q.hooks.Chaos != nil {
+		if flt, ok := q.hooks.Chaos.Next(m.Ctx, "queue", q.name); ok {
 			if flt.Kind != chaos.Duplicate {
 				// Redelivery: the get happened but the consumer died
 				// before acknowledging. The caller sees an empty poll;
@@ -213,7 +214,7 @@ func (q *Queue) TryDequeue(p *sim.Proc) (*Message, bool) {
 	m.Dequeues++
 	// The hop span is emitted retroactively at delivery: only now is the
 	// in-flight window (enqueue → dequeue) known.
-	q.Tracer.Emit(span.KindHop, "queue/"+q.name, m.EnqueuedAt, p.Now(), m.Ctx)
+	q.hooks.Tracer.Emit(span.KindHop, "queue/"+q.name, m.EnqueuedAt, p.Now(), m.Ctx)
 	if dup {
 		// Duplicate: the delivery succeeded but the delete was lost, so
 		// the visibility timeout lapses and the same message reappears
@@ -233,7 +234,7 @@ func (q *Queue) settleInvisible(m *Message, delivered bool) {
 		if !delivered {
 			q.stats.DeadLettered++
 			q.dead = append(q.dead, m)
-			q.Chaos.NoteDeadLetter(m.Ctx, q.name)
+			q.hooks.Chaos.NoteDeadLetter(m.Ctx, q.name)
 		}
 		return
 	}
@@ -246,7 +247,7 @@ func (q *Queue) settleInvisible(m *Message, delivered bool) {
 		// visibility timeout. A delivered duplicate's ghost copy is
 		// surplus traffic, not recovery time — booking it would inflate
 		// RecoveryDelay by 30s per duplicate that delayed nothing.
-		q.Chaos.NoteRecovery(vt)
+		q.hooks.Chaos.NoteRecovery(vt)
 	}
 	q.k.After(vt, func() {
 		q.msgs = append(q.msgs, m)

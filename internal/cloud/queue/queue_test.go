@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"statebench/internal/obs/instr"
 	"statebench/internal/sim"
 )
 
@@ -20,7 +21,7 @@ func fixedParams() Params {
 
 func TestEnqueueDequeueFIFO(t *testing.T) {
 	k := sim.NewKernel(1)
-	q := New(k, "q", fixedParams())
+	q := New(k, "q", fixedParams(), &instr.Hooks{})
 	var got []string
 	k.Spawn("c", func(p *sim.Proc) {
 		for _, s := range []string{"a", "b", "c"} {
@@ -45,7 +46,7 @@ func TestEnqueueDequeueFIFO(t *testing.T) {
 
 func TestPayloadLimit(t *testing.T) {
 	k := sim.NewKernel(1)
-	q := New(k, "q", fixedParams())
+	q := New(k, "q", fixedParams(), &instr.Hooks{})
 	var err error
 	k.Spawn("c", func(p *sim.Proc) { err = q.Enqueue(p, make([]byte, 101)) })
 	k.Run()
@@ -63,7 +64,7 @@ func TestPayloadLimit(t *testing.T) {
 
 func TestEmptyPollsAreMetered(t *testing.T) {
 	k := sim.NewKernel(1)
-	q := New(k, "q", fixedParams())
+	q := New(k, "q", fixedParams(), &instr.Hooks{})
 	k.Spawn("c", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
 			if _, ok := q.TryDequeue(p); ok {
@@ -83,7 +84,7 @@ func TestEmptyPollsAreMetered(t *testing.T) {
 
 func TestTransactionAccounting(t *testing.T) {
 	k := sim.NewKernel(1)
-	q := New(k, "q", fixedParams())
+	q := New(k, "q", fixedParams(), &instr.Hooks{})
 	k.Spawn("c", func(p *sim.Proc) {
 		if err := q.Enqueue(p, []byte("x")); err != nil {
 			t.Errorf("Enqueue: %v", err)
@@ -102,7 +103,7 @@ func TestTransactionAccounting(t *testing.T) {
 
 func TestPollBacksOffExponentially(t *testing.T) {
 	k := sim.NewKernel(1)
-	q := New(k, "q", fixedParams())
+	q := New(k, "q", fixedParams(), &instr.Hooks{})
 	var got *Message
 	var doneAt time.Duration
 	k.Spawn("poller", func(p *sim.Proc) {
@@ -135,7 +136,7 @@ func TestPollBacksOffExponentially(t *testing.T) {
 
 func TestPollStop(t *testing.T) {
 	k := sim.NewKernel(1)
-	q := New(k, "q", fixedParams())
+	q := New(k, "q", fixedParams(), &instr.Hooks{})
 	stop := sim.NewFuture[struct{}](k)
 	var ok bool
 	ran := false
@@ -155,7 +156,7 @@ func TestPollStop(t *testing.T) {
 
 func TestMessageMetadata(t *testing.T) {
 	k := sim.NewKernel(1)
-	q := New(k, "q", fixedParams())
+	q := New(k, "q", fixedParams(), &instr.Hooks{})
 	k.Spawn("c", func(p *sim.Proc) {
 		if err := q.Enqueue(p, []byte("x")); err != nil {
 			t.Errorf("enqueue: %v", err)

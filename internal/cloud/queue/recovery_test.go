@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"statebench/internal/chaos"
+	"statebench/internal/obs/instr"
 	"statebench/internal/sim"
 )
 
@@ -35,8 +36,7 @@ func TestDeliveredDuplicateBooksNoRecoveryDelay(t *testing.T) {
 	inj := chaos.NewInjector(k, &chaos.Plan{Rules: []chaos.Rule{
 		{Component: "queue", Kind: chaos.Duplicate, Rate: 1, MaxFaults: 3},
 	}})
-	q := New(k, "dup", chaosParams(10))
-	q.Chaos = inj
+	q := New(k, "dup", chaosParams(10), &instr.Hooks{Chaos: inj})
 	var got int
 	k.Spawn("driver", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
@@ -71,8 +71,7 @@ func TestRecoveryDelayBookedForFailedDeliveries(t *testing.T) {
 	inj := chaos.NewInjector(k, &chaos.Plan{Rules: []chaos.Rule{
 		{Component: "queue", Kind: chaos.Redeliver, Rate: 1, MaxFaults: 2},
 	}})
-	q := New(k, "redeliver", chaosParams(10))
-	q.Chaos = inj
+	q := New(k, "redeliver", chaosParams(10), &instr.Hooks{Chaos: inj})
 	var got int
 	k.Spawn("driver", func(p *sim.Proc) {
 		if err := q.Enqueue(p, []byte("m")); err != nil {

@@ -7,6 +7,7 @@ import (
 	"statebench/internal/azure"
 	"statebench/internal/chaos"
 	"statebench/internal/obs"
+	"statebench/internal/obs/instr"
 	"statebench/internal/obs/span"
 	"statebench/internal/obs/tseries"
 	"statebench/internal/payload"
@@ -46,19 +47,12 @@ type Env struct {
 	// (e.g. per-worker finish times) to the experiment drivers.
 	Scratch map[string]any
 
-	// Trace is non-nil once EnableTracing has been called; all platform
-	// services of this Env then emit spans into it.
-	Trace *span.Tracer
-
-	// Chaos is non-nil once EnableChaos has been called; all platform
-	// services of this Env then consult it for fault injection.
-	Chaos *chaos.Injector
-
-	// Timeline is non-nil once EnableTimeline has been called; platform
-	// services of this Env then record per-window occupancy gauges into
-	// it (counters ride in via the span tracer's window sink and the
-	// chaos injector).
-	Timeline *tseries.Series
+	// Hooks is the instrumentation bundle every service of this Env —
+	// including lazily constructed backends, manual queues and
+	// functions registered later — reads its span tracer, chaos
+	// injector and timeline through. Enable* fill it; all fields stay
+	// nil (the disabled fast path) until then.
+	Hooks *instr.Hooks
 
 	// Payload is the memoization engine workload deployments use for
 	// real payload compute (mlpipe training, video detection). Defaults
@@ -79,15 +73,17 @@ func NewEnv(seed uint64) *Env {
 // parameters (used by ablation experiments).
 func NewEnvWithParams(seed uint64, ap platform.AWSParams, zp platform.AzureParams) *Env {
 	k := sim.NewKernel(seed)
+	hooks := &instr.Hooks{}
 	e := &Env{
 		K:           k,
-		AWS:         aws.New(k, ap),
-		Azure:       azure.New(k, zp),
+		AWS:         aws.New(k, ap, hooks),
+		Azure:       azure.New(k, zp, hooks),
 		Seed:        seed,
 		AWSPrices:   pricing.DefaultAWS(),
 		AzurePrices: pricing.DefaultAzure(),
 		Scratch:     make(map[string]any),
 		Payload:     payload.Shared(),
+		Hooks:       hooks,
 	}
 	e.backends = map[CloudKind]Backend{AWS: e.AWS, Azure: e.Azure}
 	return e
@@ -108,15 +104,6 @@ func (e *Env) Backend(kind CloudKind) Backend {
 		return nil
 	}
 	be := spec.NewBackend(e)
-	if e.Trace != nil {
-		be.SetTracer(e.Trace)
-	}
-	if e.Chaos != nil {
-		be.SetChaos(e.Chaos)
-	}
-	if e.Timeline != nil {
-		be.SetTimeline(e.Timeline)
-	}
 	e.backends[kind] = be
 	return be
 }
@@ -156,63 +143,42 @@ func (e *Env) Stop() {
 	}
 }
 
-// EnableTracing wires a span tracer through every platform service of
-// this Env (idempotent). Call before deploying workloads so queues
-// created during deployment are covered too. Tracing is pure
-// bookkeeping — no sleeps, no RNG draws — so enabling it does not
-// change any simulated result. Backends constructed later inherit the
-// tracer at construction.
+// EnableTracing turns on span emission for every service of this Env
+// (idempotent). Tracing is pure bookkeeping — no sleeps, no RNG draws —
+// so enabling it does not change any simulated result.
 func (e *Env) EnableTracing() *span.Tracer {
-	if e.Trace == nil {
-		e.Trace = span.New()
-		for _, kind := range sortedBackendKinds(e.backends) {
-			e.backends[kind].SetTracer(e.Trace)
-		}
+	if e.Hooks.Tracer == nil {
+		e.Hooks.Tracer = span.New()
 	}
-	return e.Trace
+	return e.Hooks.Tracer
 }
 
-// EnableChaos wires a fault injector for plan through every platform
-// service of this Env (idempotent; a nil plan is the disabled fast
-// path and leaves everything untouched). Call before deploying
-// workloads so queues created during deployment are covered too.
+// EnableChaos turns on fault injection for plan on every service of
+// this Env (idempotent; a nil plan is the disabled fast path and leaves
+// everything untouched).
 func (e *Env) EnableChaos(plan *chaos.Plan) *chaos.Injector {
-	if plan == nil {
-		return e.Chaos
+	if plan != nil && e.Hooks.Chaos == nil {
+		e.Hooks.Chaos = chaos.NewInjector(e.K, plan)
 	}
-	if e.Chaos == nil {
-		e.Chaos = chaos.NewInjector(e.K, plan)
-		for _, kind := range sortedBackendKinds(e.backends) {
-			e.backends[kind].SetChaos(e.Chaos)
-		}
-	}
-	return e.Chaos
+	return e.Hooks.Chaos
 }
 
-// EnableTimeline wires windowed telemetry through every platform
-// service of this Env (idempotent; a nil series leaves everything
-// untouched). Call before deploying workloads. Like tracing, windowed
-// telemetry is pure observation — no events, no RNG draws — so
-// enabling it does not change any simulated result. Backends
-// constructed later inherit the series at construction.
+// EnableTimeline turns on windowed telemetry into s for every service
+// of this Env (idempotent; a nil series leaves everything untouched).
+// Like tracing, windowed telemetry is pure observation — no events, no
+// RNG draws — so enabling it does not change any simulated result.
 func (e *Env) EnableTimeline(s *tseries.Series) *tseries.Series {
-	if s == nil {
-		return e.Timeline
+	if s != nil && e.Hooks.Timeline == nil {
+		e.Hooks.Timeline = s
 	}
-	if e.Timeline == nil {
-		e.Timeline = s
-		for _, kind := range sortedBackendKinds(e.backends) {
-			e.backends[kind].SetTimeline(s)
-		}
-	}
-	return e.Timeline
+	return e.Hooks.Timeline
 }
 
 // Stage opens an application-level stage span (ML pipeline step, video
 // split/detect/merge) under p's current context. Returns a no-op handle
 // when tracing is disabled, so workload code can call it unconditionally.
 func (e *Env) Stage(p *sim.Proc, name string) span.Active {
-	return e.Trace.Start(p.Now(), span.KindStage, name, p.TraceCtx)
+	return e.Hooks.Tracer.Start(p.Now(), span.KindStage, name, p.TraceCtx)
 }
 
 // RunStats is the outcome of one workflow invocation.

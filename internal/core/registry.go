@@ -6,9 +6,6 @@ import (
 
 	"statebench/internal/aws"
 	"statebench/internal/azure"
-	"statebench/internal/chaos"
-	"statebench/internal/obs/span"
-	"statebench/internal/obs/tseries"
 	"statebench/internal/platform"
 	"statebench/internal/pricing"
 )
@@ -23,15 +20,11 @@ import (
 
 // Backend is one provider's simulated cloud inside an Env. The
 // concrete types (*aws.Cloud, *azure.Cloud, *gcp.Cloud) satisfy it
-// structurally, so provider packages do not import core.
+// structurally, so provider packages do not import core. A backend's
+// services read their instrumentation through the Env's Hooks, handed
+// to the backend at construction, so the interface carries no hook
+// setters.
 type Backend interface {
-	// SetTracer enables span emission on every service of the backend.
-	SetTracer(tr *span.Tracer)
-	// SetChaos enables fault injection on every service of the backend.
-	SetChaos(inj *chaos.Injector)
-	// SetTimeline enables per-window telemetry gauges (warm-pool and
-	// scheduler-backlog occupancy) on every service of the backend.
-	SetTimeline(s *tseries.Series)
 	// Usage reports cumulative billable consumption. stateful selects
 	// the provider's stateful billing mode (e.g. Azure deployments
 	// without the durable extension are not billed for task-hub
@@ -63,9 +56,8 @@ type ProviderSpec struct {
 	Name string
 	// Styles lists the implementation styles the provider hosts.
 	Styles []StyleInfo
-	// NewBackend constructs the provider's cloud on the Env's kernel.
-	// Called lazily on first use; the Env applies its tracer and chaos
-	// injector to the fresh backend.
+	// NewBackend constructs the provider's cloud on the Env's kernel,
+	// instrumented through the Env's Hooks. Called lazily on first use.
 	NewBackend func(e *Env) Backend
 	// DefaultBook returns the provider's price book. The paper's two
 	// providers are overridden by the Env's live AWSPrices/AzurePrices
@@ -170,7 +162,7 @@ func init() {
 			{Impl: AWSLambda, Description: "One stateless Lambda function."},
 			{Impl: AWSStep, Stateful: true, Description: "Workflow implementation using AWS Step Functions, calling AWS Lambda functions on each state."},
 		},
-		NewBackend:         func(e *Env) Backend { return aws.New(e.K, platform.DefaultAWS()) },
+		NewBackend:         func(e *Env) Backend { return aws.New(e.K, platform.DefaultAWS(), e.Hooks) },
 		DefaultBook:        func() pricing.Book { return pricing.DefaultAWS() },
 		Traffic:            func() platform.TrafficProfile { return platform.DefaultAWS().Traffic() },
 		BillsConfiguredMem: true,
@@ -184,7 +176,7 @@ func init() {
 			{Impl: AzDorch, Stateful: true, Description: "Workflow implemented using Azure Durable orchestrators, calling isolated functions through call_activity."},
 			{Impl: AzDent, Stateful: true, Description: "Workflow implemented using Azure Durable orchestrators, calling stateful entities through call_entity."},
 		},
-		NewBackend:  func(e *Env) Backend { return azure.New(e.K, platform.DefaultAzure()) },
+		NewBackend:  func(e *Env) Backend { return azure.New(e.K, platform.DefaultAzure(), e.Hooks) },
 		DefaultBook: func() pricing.Book { return pricing.DefaultAzure() },
 		Traffic:     func() platform.TrafficProfile { return platform.DefaultAzure().Traffic() },
 	})

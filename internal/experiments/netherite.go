@@ -7,6 +7,7 @@ import (
 	"statebench/internal/azure/durable"
 	"statebench/internal/azure/functions"
 	"statebench/internal/obs"
+	"statebench/internal/obs/instr"
 	"statebench/internal/platform"
 	"statebench/internal/sim"
 )
@@ -67,7 +68,7 @@ func AblationNetherite(o Options) (*Report, error) {
 // given Azure calibration.
 func runMicroChain(o Options, zp platform.AzureParams, steps int, perStep time.Duration) (*obs.Samples, error) {
 	k := sim.NewKernel(o.Seed)
-	host := functions.NewHost(k, "micro", zp)
+	host := functions.NewHost(k, "micro", zp, &instr.Hooks{})
 	hub := durable.NewHub(k, host, "micro")
 	client := durable.NewClient(hub)
 

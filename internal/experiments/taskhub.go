@@ -10,6 +10,7 @@ import (
 	"statebench/internal/chaos"
 	"statebench/internal/core"
 	"statebench/internal/obs"
+	"statebench/internal/obs/instr"
 	"statebench/internal/parallel"
 	"statebench/internal/platform"
 	"statebench/internal/sim"
@@ -190,11 +191,12 @@ type openLoopResult struct {
 func runOpenLoopChains(seed uint64, useNetherite bool, process traffic.ArrivalProcess, window time.Duration, steps int, perStep time.Duration) (*openLoopResult, error) {
 	k := sim.NewKernel(seed)
 	params := platform.DefaultAzure()
-	host := functions.NewHost(k, "openloop-app", params)
+	hooks := &instr.Hooks{}
+	host := functions.NewHost(k, "openloop-app", params, hooks)
 	var hub *durable.Hub
 	if useNetherite {
 		hub = durable.NewHubWithStore(k, host, "openloop-hub",
-			netherite.NewStore(k, "openloop-hub", netherite.DefaultPartitions))
+			netherite.NewStore(k, "openloop-hub", netherite.DefaultPartitions, hooks))
 	} else {
 		hub = durable.NewHub(k, host, "openloop-hub")
 	}

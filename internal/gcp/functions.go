@@ -13,8 +13,8 @@ import (
 	"time"
 
 	"statebench/internal/chaos"
+	"statebench/internal/obs/instr"
 	"statebench/internal/obs/span"
-	"statebench/internal/obs/tseries"
 	"statebench/internal/platform"
 	"statebench/internal/sim"
 )
@@ -115,32 +115,22 @@ type Functions struct {
 	rng    *sim.RNG
 	params platform.GCPParams
 	fns    map[string]*Function
-	// Tracer, when non-nil, emits spans per invocation.
-	Tracer *span.Tracer
-	// Chaos, when non-nil, can fail invocations with transient errors or
-	// kill the executing instance mid-invoke (component "gcf").
-	Chaos *chaos.Injector
-	// timeline, when non-nil, receives warm-pool occupancy gauges from
-	// every function's instance pool (pure observation).
-	timeline *tseries.Series
+	// hooks is the deployment's instrumentation bundle: its tracer gets
+	// spans per invocation; its injector can fail invocations with
+	// transient errors or kill the executing instance mid-invoke
+	// (component "gcf"); its timeline gets every function's warm-pool
+	// occupancy.
+	hooks *instr.Hooks
 }
 
-// NewFunctions creates a Cloud Functions service.
-func NewFunctions(k *sim.Kernel, params platform.GCPParams) *Functions {
-	return &Functions{k: k, rng: k.Stream("gcp/functions"), params: params, fns: make(map[string]*Function)}
+// NewFunctions creates a Cloud Functions service instrumented through
+// hooks.
+func NewFunctions(k *sim.Kernel, params platform.GCPParams, hooks *instr.Hooks) *Functions {
+	return &Functions{k: k, rng: k.Stream("gcp/functions"), params: params, fns: make(map[string]*Function), hooks: hooks}
 }
 
 // Params returns the service's calibration parameters.
 func (s *Functions) Params() platform.GCPParams { return s.params }
-
-// SetTimeline enables per-window warm-pool occupancy gauges on every
-// registered function's instance pool, existing and future.
-func (s *Functions) SetTimeline(tl *tseries.Series) {
-	s.timeline = tl
-	for _, f := range s.fns {
-		f.pool.Timeline = tl
-	}
-}
 
 // Register adds a function, validating the memory tier.
 func (s *Functions) Register(cfg Config) (*Function, error) {
@@ -164,7 +154,7 @@ func (s *Functions) Register(cfg Config) (*Function, error) {
 	}
 	f := &Function{cfg: cfg, svc: s, slots: sim.NewResource(s.k, s.params.BurstConcurrency)}
 	f.pool.KeepAlive = s.params.KeepAlive
-	f.pool.Timeline = s.timeline
+	f.pool.Hooks = s.hooks
 	s.fns[cfg.Name] = f
 	return f, nil
 }
@@ -219,7 +209,7 @@ func (s *Functions) Invoke(p *sim.Proc, name string, payload []byte) (*Invocatio
 	}
 	start := p.Now()
 	caller := p.TraceCtx
-	invSpan := s.Tracer.Start(start, span.KindInvoke, "gcf/"+name, caller)
+	invSpan := s.hooks.Tracer.Start(start, span.KindInvoke, "gcf/"+name, caller)
 	invCtx := invSpan.Context()
 	p.Sleep(s.params.InvokeRTT.Sample(s.rng))
 
@@ -227,7 +217,7 @@ func (s *Functions) Invoke(p *sim.Proc, name string, payload []byte) (*Invocatio
 	f.slots.Acquire(p)
 	queueDelay := p.Now() - qStart
 	if queueDelay > 0 {
-		s.Tracer.Emit(span.KindQueue, "gcf/admission/"+name, qStart, p.Now(), invCtx)
+		s.hooks.Tracer.Emit(span.KindQueue, "gcf/admission/"+name, qStart, p.Now(), invCtx)
 	}
 
 	inv := &Invocation{QueueDelay: queueDelay}
@@ -245,17 +235,17 @@ func (s *Functions) Invoke(p *sim.Proc, name string, payload []byte) (*Invocatio
 		f.pool.RecordCold(delay)
 		coldStart := p.Now()
 		p.Sleep(delay)
-		s.Tracer.Emit(span.KindCold, "gcf/cold/"+name, coldStart, p.Now(), invCtx)
+		s.hooks.Tracer.Emit(span.KindCold, "gcf/cold/"+name, coldStart, p.Now(), invCtx)
 	}
 
 	var fault chaos.Fault
 	faulted := false
-	if s.Chaos != nil {
-		fault, faulted = s.Chaos.Next(invCtx, "gcf", name)
+	if s.hooks.Chaos != nil {
+		fault, faulted = s.hooks.Chaos.Next(invCtx, "gcf", name)
 	}
 
 	execStart := p.Now()
-	execSpan := s.Tracer.Start(execStart, span.KindExec, "gcf/exec/"+name, invCtx)
+	execSpan := s.hooks.Tracer.Start(execStart, span.KindExec, "gcf/exec/"+name, invCtx)
 	crashed := false
 	var out []byte
 	var err error

@@ -1,11 +1,9 @@
 package gcp
 
 import (
-	"statebench/internal/chaos"
 	"statebench/internal/cloud/blob"
 	"statebench/internal/core"
-	"statebench/internal/obs/span"
-	"statebench/internal/obs/tseries"
+	"statebench/internal/obs/instr"
 	"statebench/internal/platform"
 	"statebench/internal/pricing"
 	"statebench/internal/sim"
@@ -33,9 +31,10 @@ type Cloud struct {
 	GCS       *blob.Store
 }
 
-// New builds a Cloud with the given calibration parameters.
-func New(k *sim.Kernel, params platform.GCPParams) *Cloud {
-	fsvc := NewFunctions(k, params)
+// New builds a Cloud with the given calibration parameters; every
+// service reads its instrumentation through hooks.
+func New(k *sim.Kernel, params platform.GCPParams, hooks *instr.Hooks) *Cloud {
+	fsvc := NewFunctions(k, params, hooks)
 	return &Cloud{
 		Params:    params,
 		Functions: fsvc,
@@ -47,24 +46,6 @@ func New(k *sim.Kernel, params platform.GCPParams) *Cloud {
 // FromEnv returns the Env's GCP backend, constructing it on first use.
 // Deployment code uses this the way it uses env.AWS / env.Azure.
 func FromEnv(env *core.Env) *Cloud { return env.Backend(Kind).(*Cloud) }
-
-// SetTracer enables span emission on Functions and Workflows.
-func (c *Cloud) SetTracer(tr *span.Tracer) {
-	c.Functions.Tracer = tr
-	c.Workflows.Tracer = tr
-}
-
-// SetChaos enables fault injection on Functions and Workflows.
-func (c *Cloud) SetChaos(inj *chaos.Injector) {
-	c.Functions.Chaos = inj
-	c.Workflows.Chaos = inj
-}
-
-// SetTimeline enables per-window warm-pool occupancy gauges on the
-// Cloud Functions instance pools (Workflows holds no instances).
-func (c *Cloud) SetTimeline(s *tseries.Series) {
-	c.Functions.SetTimeline(s)
-}
 
 // ResetMeters zeroes billing meters and storage stats across services,
 // keeping deployed functions and warm instances.
@@ -101,7 +82,7 @@ func init() {
 			{Impl: Func, Description: "One stateless Cloud Function."},
 			{Impl: Wflow, Stateful: true, Description: "Workflow implemented using GCP Workflows, calling Cloud Functions on each step."},
 		},
-		NewBackend:         func(e *core.Env) core.Backend { return New(e.K, platform.DefaultGCP()) },
+		NewBackend:         func(e *core.Env) core.Backend { return New(e.K, platform.DefaultGCP(), e.Hooks) },
 		DefaultBook:        func() pricing.Book { return pricing.DefaultGCP() },
 		Traffic:            func() platform.TrafficProfile { return platform.DefaultGCP().Traffic() },
 		BillsConfiguredMem: true,

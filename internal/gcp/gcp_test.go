@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"statebench/internal/chaos"
+	"statebench/internal/obs/instr"
 	"statebench/internal/platform"
 	"statebench/internal/sim"
 )
@@ -31,7 +32,7 @@ func echo(ctx *Context, payload []byte) ([]byte, error) {
 
 func TestRegisterValidation(t *testing.T) {
 	k := sim.NewKernel(1)
-	s := NewFunctions(k, fixedParams())
+	s := NewFunctions(k, fixedParams(), &instr.Hooks{})
 	if _, err := s.Register(Config{Name: "f", MemoryMB: 300, Handler: echo}); err == nil {
 		t.Fatal("non-tier memory accepted")
 	}
@@ -51,7 +52,7 @@ func TestRegisterValidation(t *testing.T) {
 
 func TestColdThenWarm(t *testing.T) {
 	k := sim.NewKernel(1)
-	s := NewFunctions(k, fixedParams())
+	s := NewFunctions(k, fixedParams(), &instr.Hooks{})
 	if _, err := s.Register(Config{Name: "f", MemoryMB: 256, CodeSizeMB: 50, Handler: echo}); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestColdThenWarm(t *testing.T) {
 
 func TestTimeoutClampsBilling(t *testing.T) {
 	k := sim.NewKernel(1)
-	s := NewFunctions(k, fixedParams())
+	s := NewFunctions(k, fixedParams(), &instr.Hooks{})
 	if _, err := s.Register(Config{Name: "h", MemoryMB: 256, Timeout: time.Second, Handler: func(ctx *Context, _ []byte) ([]byte, error) {
 		ctx.Busy(10 * time.Second)
 		return []byte("never"), nil
@@ -104,7 +105,7 @@ func TestTimeoutClampsBilling(t *testing.T) {
 func TestTimeLimitCapsConfiguredTimeout(t *testing.T) {
 	k := sim.NewKernel(1)
 	params := fixedParams()
-	s := NewFunctions(k, params)
+	s := NewFunctions(k, params, &instr.Hooks{})
 	f, err := s.Register(Config{Name: "f", MemoryMB: 256, Timeout: time.Hour, Handler: echo})
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +117,7 @@ func TestTimeLimitCapsConfiguredTimeout(t *testing.T) {
 
 func TestBillingRoundsTo100msOnConfiguredTier(t *testing.T) {
 	k := sim.NewKernel(1)
-	s := NewFunctions(k, fixedParams())
+	s := NewFunctions(k, fixedParams(), &instr.Hooks{})
 	f, err := s.Register(Config{Name: "f", MemoryMB: 2048, ConsumedMemMB: 400, Handler: func(ctx *Context, _ []byte) ([]byte, error) {
 		ctx.Busy(110 * time.Millisecond)
 		return nil, nil
@@ -139,7 +140,7 @@ func TestBillingRoundsTo100msOnConfiguredTier(t *testing.T) {
 func TestWorkflowStepsAndFirstCallDelay(t *testing.T) {
 	k := sim.NewKernel(1)
 	params := fixedParams()
-	fns := NewFunctions(k, params)
+	fns := NewFunctions(k, params, &instr.Hooks{})
 	wfs := NewWorkflows(k, params, fns)
 	if _, err := fns.Register(Config{Name: "f", MemoryMB: 256, Handler: echo}); err != nil {
 		t.Fatal(err)
@@ -182,7 +183,7 @@ func TestWorkflowParallelOverlaps(t *testing.T) {
 	k := sim.NewKernel(1)
 	params := fixedParams()
 	params.BurstConcurrency = 8
-	fns := NewFunctions(k, params)
+	fns := NewFunctions(k, params, &instr.Hooks{})
 	wfs := NewWorkflows(k, params, fns)
 	if _, err := fns.Register(Config{Name: "slow", MemoryMB: 256, Handler: func(ctx *Context, _ []byte) ([]byte, error) {
 		ctx.Busy(time.Second)
@@ -219,13 +220,12 @@ func TestWorkflowParallelOverlaps(t *testing.T) {
 func TestWorkflowRetryRecoversInjectedFault(t *testing.T) {
 	k := sim.NewKernel(1)
 	params := fixedParams()
-	fns := NewFunctions(k, params)
+	fns := NewFunctions(k, params, &instr.Hooks{})
 	wfs := NewWorkflows(k, params, fns)
 	inj := chaos.NewInjector(k, &chaos.Plan{Rules: []chaos.Rule{
 		{Component: "gwf", Kind: chaos.TransientError, Rate: 1, MaxFaults: 1},
 	}})
-	wfs.Chaos = inj
-	fns.Chaos = inj
+	fns.hooks.Chaos = inj
 	if _, err := fns.Register(Config{Name: "f", MemoryMB: 256, Handler: echo}); err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestWorkflowRetryRecoversInjectedFault(t *testing.T) {
 func TestWorkflowCallExhaustsRetries(t *testing.T) {
 	k := sim.NewKernel(1)
 	params := fixedParams()
-	fns := NewFunctions(k, params)
+	fns := NewFunctions(k, params, &instr.Hooks{})
 	wfs := NewWorkflows(k, params, fns)
 	boom := errors.New("boom")
 	if _, err := fns.Register(Config{Name: "f", MemoryMB: 256, Handler: func(*Context, []byte) ([]byte, error) {
@@ -290,7 +290,7 @@ func TestWorkflowCallExhaustsRetries(t *testing.T) {
 
 func TestUsageAggregatesAcrossServices(t *testing.T) {
 	k := sim.NewKernel(1)
-	c := New(k, fixedParams())
+	c := New(k, fixedParams(), &instr.Hooks{})
 	if _, err := c.Functions.Register(Config{Name: "f", MemoryMB: 256, Handler: func(ctx *Context, _ []byte) ([]byte, error) {
 		ctx.Busy(50 * time.Millisecond)
 		c.GCS.Put(ctx.Proc(), "k", []byte("v"))

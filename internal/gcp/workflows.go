@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"statebench/internal/chaos"
+	"statebench/internal/obs/instr"
 	"statebench/internal/obs/span"
 	"statebench/internal/platform"
 	"statebench/internal/sim"
@@ -24,21 +25,21 @@ type Workflows struct {
 	// TotalSteps aggregates billable executed steps across all
 	// executions since the last reset (retried steps bill again).
 	TotalSteps int64
-	// Tracer, when non-nil, emits an orchestration span per execution
-	// and a transition span per billable step.
-	Tracer *span.Tracer
-	// Chaos, when non-nil, can fail call steps at the connector
+	// hooks is shared with the Functions service: its tracer gets an
+	// orchestration span per execution and a transition span per
+	// billable step; its injector can fail call steps at the connector
 	// boundary (component "gwf"), driving the default retry policy.
-	Chaos *chaos.Injector
+	hooks *instr.Hooks
 }
 
 // Definition is one workflow body. It runs on the calling process's
 // virtual-time context; all platform effects go through ctx.
 type Definition func(ctx *Ctx, input map[string]any) (map[string]any, error)
 
-// NewWorkflows creates a Workflows engine bound to a Functions service.
+// NewWorkflows creates a Workflows engine bound to a Functions service,
+// sharing its instrumentation bundle.
 func NewWorkflows(k *sim.Kernel, params platform.GCPParams, fns *Functions) *Workflows {
-	return &Workflows{k: k, rng: k.Stream("gcp/workflows"), params: params, fns: fns, wfs: make(map[string]Definition)}
+	return &Workflows{k: k, rng: k.Stream("gcp/workflows"), params: params, fns: fns, wfs: make(map[string]Definition), hooks: fns.hooks}
 }
 
 // Create registers a workflow definition under name.
@@ -100,7 +101,7 @@ func (s *Workflows) Execute(p *sim.Proc, name string, input map[string]any) (*Ex
 	}
 	exec := &Execution{Workflow: name, StartedAt: p.Now(), FirstCallDelay: -1, svc: s}
 	caller := p.TraceCtx
-	execSpan := s.Tracer.Start(p.Now(), span.KindOrchestration, "gwf/"+name, caller)
+	execSpan := s.hooks.Tracer.Start(p.Now(), span.KindOrchestration, "gwf/"+name, caller)
 	p.TraceCtx = execSpan.Context()
 	ctx := &Ctx{p: p, exec: exec, svc: s}
 	// The engine's init step (argument binding) bills like any other.
@@ -126,7 +127,7 @@ func (c *Ctx) step(name string) {
 	c.svc.TotalSteps++
 	tStart := c.p.Now()
 	c.p.Sleep(c.svc.params.StepOverhead.Sample(c.svc.rng))
-	c.svc.Tracer.Emit(span.KindTransition, "gwf/step/"+name, tStart, c.p.Now(), c.p.TraceCtx)
+	c.svc.hooks.Tracer.Emit(span.KindTransition, "gwf/step/"+name, tStart, c.p.Now(), c.p.TraceCtx)
 }
 
 // CallError reports a call step that failed after exhausting retries.
@@ -151,7 +152,7 @@ func (c *Ctx) Call(fn string, payload []byte) ([]byte, error) {
 	var lastErr error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
-			c.svc.Chaos.NoteRetry(backoff)
+			c.svc.hooks.Chaos.NoteRetry(backoff)
 			c.p.Sleep(backoff)
 			backoff *= 2
 		}
@@ -188,8 +189,8 @@ func isInfra(err error, out **infraError) bool {
 // boundary, dispatch hop, then the synchronous function invocation.
 func (c *Ctx) callOnce(fn string, payload []byte) ([]byte, error) {
 	p := c.p
-	if c.svc.Chaos != nil {
-		if flt, ok := c.svc.Chaos.Next(p.TraceCtx, "gwf", fn); ok {
+	if c.svc.hooks.Chaos != nil {
+		if flt, ok := c.svc.hooks.Chaos.Next(p.TraceCtx, "gwf", fn); ok {
 			// The step fails at the connector (transient 5xx, worker
 			// lost) after Delay of wasted wall time.
 			p.Sleep(flt.Delay)
@@ -198,7 +199,7 @@ func (c *Ctx) callOnce(fn string, payload []byte) ([]byte, error) {
 	}
 	dStart := p.Now()
 	p.Sleep(c.svc.params.CallDispatch.Sample(c.svc.rng))
-	c.svc.Tracer.Emit(span.KindTransition, "gwf/dispatch/"+fn, dStart, p.Now(), p.TraceCtx)
+	c.svc.hooks.Tracer.Emit(span.KindTransition, "gwf/dispatch/"+fn, dStart, p.Now(), p.TraceCtx)
 	inv, err := c.svc.fns.Invoke(p, fn, payload)
 	if err != nil {
 		return nil, &infraError{err: err}

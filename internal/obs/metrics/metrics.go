@@ -223,7 +223,8 @@ func (r *Registry) CounterValue(name string, labels ...Label) float64 {
 
 // WritePrometheus renders every series in Prometheus text exposition
 // format, sorted by metric name then label set, so output is
-// byte-stable for a given set of recorded values.
+// byte-stable for a given set of recorded values. It renders under the
+// registry lock, so a live scrape may run while campaigns record.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -233,7 +234,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, s := range r.series {
 		all = append(all, s)
 	}
-	r.mu.Unlock()
 	slices.SortFunc(all, func(a, b *series) int {
 		if a.name != b.name {
 			return strings.Compare(a.name, b.name)
@@ -265,6 +265,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(&sb, "%s_count%s %d\n", s.name, wrapLabels(s.labels, ""), s.count)
 		}
 	}
+	r.mu.Unlock()
 	_, err := io.WriteString(w, sb.String())
 	return err
 }

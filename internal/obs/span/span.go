@@ -22,10 +22,11 @@
 //   - A Tracer belongs to one Env/Kernel and is used only from that
 //     kernel's goroutines (one at a time), so it needs no locking.
 //
-// Disabled fast path: every method is nil-safe. Services hold a
-// `*Tracer` that stays nil unless core.Env.EnableTracing was called;
-// the nil receiver short-circuits before any allocation, so hot paths
-// pay one predictable branch and zero allocations per would-be span.
+// Disabled fast path: every method is nil-safe. Services read their
+// `*Tracer` from the deployment's instr.Hooks bundle, where it stays
+// nil unless core.Env.EnableTracing was called; the nil receiver
+// short-circuits before any allocation, so hot paths pay one
+// predictable branch and zero allocations per would-be span.
 package span
 
 import (

@@ -128,7 +128,7 @@ func TestServeLive(t *testing.T) {
 	c.Replace(s)
 	c.SetProgress(Progress{Phase: "traffic", Done: 1, Total: 3})
 
-	srv, err := ServeLive("127.0.0.1:0", c.Snapshot)
+	srv, err := ServeLive("127.0.0.1:0", c.Snapshot, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"statebench/internal/obs/metrics"
 )
 
 // This file is the live export surface: a tiny HTTP server that lets a
@@ -20,7 +22,9 @@ import (
 //
 //	/               index with links
 //	/metrics        Prometheus text: run totals, latest-window stats,
-//	                and progress gauges, refreshed per window
+//	                and progress gauges, refreshed per window, followed
+//	                by the metrics registry's families (chaos, payload
+//	                cache, span-derived) when one is attached
 //	/timeseries.csv the full per-window CSV (same schema as -timeline)
 //	/timeseries.json the per-window JSON array
 //	/progress       run progress as JSON
@@ -42,10 +46,12 @@ func (s *LiveServer) Addr() string { return s.ln.Addr().String() }
 func (s *LiveServer) Close() error { return s.srv.Close() }
 
 // ServeLive binds addr (e.g. ":9090" or "127.0.0.1:0") and serves the
-// live-telemetry endpoints from src in a background goroutine. The
-// returned server should be Closed when the run finishes (after a final
-// scrape window, if a scraper is attached).
-func ServeLive(addr string, src SnapshotFunc) (*LiveServer, error) {
+// live-telemetry endpoints from src in a background goroutine; /metrics
+// appends reg's exposition (nil reg: timeline families only), byte for
+// byte what reg.WritePrometheus writes to a -metrics file. The returned
+// server should be Closed when the run finishes (after a final scrape
+// window, if a scraper is attached).
+func ServeLive(addr string, src SnapshotFunc, reg *metrics.Registry) (*LiveServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("live endpoint: %w", err)
@@ -68,6 +74,7 @@ func ServeLive(addr string, src SnapshotFunc) (*LiveServer, error) {
 		s, p := src()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		fmt.Fprint(w, PrometheusText(s, p))
+		reg.WritePrometheus(w)
 	})
 	mux.HandleFunc("/timeseries.csv", func(w http.ResponseWriter, r *http.Request) {
 		s, _ := src()

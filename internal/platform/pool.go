@@ -4,7 +4,7 @@ import (
 	"sort"
 	"time"
 
-	"statebench/internal/obs/tseries"
+	"statebench/internal/obs/instr"
 	"statebench/internal/sim"
 )
 
@@ -37,12 +37,13 @@ type Pool struct {
 	// instance-pool style leave it zero.
 	KeepAlive time.Duration
 
-	// Timeline, when non-nil, receives warm-pool occupancy gauge
+	// Hooks is the owning service's instrumentation bundle (required).
+	// Its Timeline, when set, receives warm-pool occupancy gauge
 	// observations (live warm containers per Release, ready instances
 	// per FinishStart) into their virtual-time windows. Observation
 	// only: the pool never reads the series, so enabling it cannot
 	// change any lifecycle decision.
-	Timeline *tseries.Series
+	Hooks *instr.Hooks
 
 	// warm holds expiry times of idle warm containers. Because Release
 	// stamps now+KeepAlive and virtual time is monotone, the slice is
@@ -143,9 +144,9 @@ func (p *Pool) Release(now sim.Time) {
 	} else {
 		p.warm = append(p.warm, exp)
 	}
-	if p.Timeline.Enabled() {
+	if tl := p.Hooks.Timeline; tl.Enabled() {
 		p.expireWarm(now)
-		p.Timeline.ObserveWarmPool(now, int64(len(p.warm)-p.warmHead))
+		tl.ObserveWarmPool(now, int64(len(p.warm)-p.warmHead))
 	}
 }
 
@@ -193,7 +194,7 @@ func (p *Pool) FinishStart(now sim.Time) *Container {
 	if p.ready > p.stats.MaxReady {
 		p.stats.MaxReady = p.ready
 	}
-	p.Timeline.ObserveWarmPool(now, int64(p.ready))
+	p.Hooks.Timeline.ObserveWarmPool(now, int64(p.ready))
 	p.nextID++
 	return &Container{ID: p.nextID, IdleSince: now}
 }

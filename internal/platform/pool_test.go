@@ -4,11 +4,12 @@ import (
 	"testing"
 	"time"
 
+	"statebench/internal/obs/instr"
 	"statebench/internal/sim"
 )
 
 func TestPoolWarmEntryLifecycle(t *testing.T) {
-	p := &Pool{KeepAlive: 8 * time.Minute}
+	p := &Pool{KeepAlive: 8 * time.Minute, Hooks: &instr.Hooks{}}
 	if _, ok := p.TakeWarm(0); ok {
 		t.Fatal("empty pool yielded a warm container")
 	}
@@ -43,7 +44,7 @@ func TestPoolWarmEntryLifecycle(t *testing.T) {
 }
 
 func TestPoolInstanceLifecycle(t *testing.T) {
-	p := &Pool{}
+	p := &Pool{Hooks: &instr.Hooks{}}
 	p.BeginStart()
 	if p.Starting() != 1 || p.Provisioning() != 1 || p.Ready() != 0 {
 		t.Fatalf("after BeginStart: starting=%d ready=%d", p.Starting(), p.Ready())
@@ -97,7 +98,7 @@ func TestPoolInstanceLifecycle(t *testing.T) {
 // interleaved expiry, including the prefix-slide compaction and the
 // out-of-order-release fallback.
 func TestPoolWarmRingAtScale(t *testing.T) {
-	p := &Pool{KeepAlive: time.Minute}
+	p := &Pool{KeepAlive: time.Minute, Hooks: &instr.Hooks{}}
 	// Phase 1: release 10k containers at 1ms spacing, then let the
 	// first half expire and verify count and LIFO take.
 	for i := 0; i < 10000; i++ {

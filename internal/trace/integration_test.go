@@ -6,6 +6,7 @@ import (
 
 	"statebench/internal/aws/lambda"
 	"statebench/internal/azure/functions"
+	"statebench/internal/obs/instr"
 	"statebench/internal/platform"
 	"statebench/internal/sim"
 	"statebench/internal/trace"
@@ -13,7 +14,7 @@ import (
 
 func TestLambdaEmitsCloudWatchStyleRecords(t *testing.T) {
 	k := sim.NewKernel(1)
-	svc := lambda.New(k, platform.DefaultAWS())
+	svc := lambda.New(k, platform.DefaultAWS(), &instr.Hooks{})
 	svc.Logs = trace.NewCollector("aws")
 	svc.MustRegister(lambda.Config{Name: "f", MemoryMB: 128, Handler: func(ctx *lambda.Context, p []byte) ([]byte, error) {
 		ctx.Busy(time.Second)
@@ -43,7 +44,7 @@ func TestLambdaEmitsCloudWatchStyleRecords(t *testing.T) {
 
 func TestAzureHostEmitsAppInsightsStyleRecords(t *testing.T) {
 	k := sim.NewKernel(1)
-	host := functions.NewHost(k, "app", platform.DefaultAzure())
+	host := functions.NewHost(k, "app", platform.DefaultAzure(), &instr.Hooks{})
 	host.Logs = trace.NewCollector("azure")
 	host.MustRegister(functions.Config{Name: "f", Handler: func(ctx *functions.Context, p []byte) ([]byte, error) {
 		ctx.Busy(500 * time.Millisecond)
