@@ -100,14 +100,14 @@ func statusOf(e *sfn.Execution) string {
 
 // registerTasks walks the machine and registers an echo Lambda for each
 // distinct Task resource.
-func registerTasks(m *sfn.StateMachine, lsvc *lambda.Service, busy time.Duration) {
+func registerTasks(m *sfn.StateMachine, lsvc *platform.FaaS, busy time.Duration) {
 	for _, st := range m.States {
 		if st.Type == sfn.TypeTask {
 			name := st.Resource
 			if _, exists := lsvc.Function(name); !exists {
-				lsvc.MustRegister(lambda.Config{
+				lsvc.MustRegister(platform.FunctionConfig{
 					Name: name, MemoryMB: 512,
-					Handler: func(ctx *lambda.Context, payload []byte) ([]byte, error) {
+					Handler: func(ctx *platform.Context, payload []byte) ([]byte, error) {
 						ctx.Busy(busy)
 						return payload, nil
 					},

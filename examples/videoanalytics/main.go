@@ -12,11 +12,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"statebench/internal/aws/lambda"
 	"statebench/internal/aws/sfn"
 	"statebench/internal/core"
+	"statebench/internal/platform"
 	"statebench/internal/sim"
 	"statebench/internal/video"
 )
@@ -24,7 +25,15 @@ import (
 func main() {
 	workers := flag.Int("workers", 8, "parallel face-detection workers")
 	flag.Parse()
+	if err := run(os.Stdout, *workers); err != nil {
+		fmt.Fprintln(os.Stderr, "videoanalytics:", err)
+		os.Exit(1)
+	}
+}
 
+// run executes the pipeline with the given number of detection workers
+// and writes the report to w.
+func run(w io.Writer, workers int) error {
 	// Real input: 96 frames of 160x120 with 3 moving faces.
 	opt := video.DefaultGenerateOptions()
 	opt.NumFrames = 96
@@ -33,9 +42,9 @@ func main() {
 	model := video.DefaultModel(1 << 20) // ~1 MB, like the paper's
 	modelBytes, err := video.EncodeModel(model)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Printf("input video: %d frames, %d KB encoded; detector model %d KB\n",
+	fmt.Fprintf(w, "input video: %d frames, %d KB encoded; detector model %d KB\n",
 		len(clip.Frames), len(encoded)/1024, len(modelBytes)/1024)
 
 	env := core.NewEnv(3)
@@ -44,9 +53,9 @@ func main() {
 	s3.Preload("models/face", modelBytes)
 
 	// Split: decode, chunk, store each chunk.
-	env.AWS.Lambda.MustRegister(lambda.Config{
+	env.AWS.Lambda.MustRegister(platform.FunctionConfig{
 		Name: "split", MemoryMB: 2048, ConsumedMemMB: 700,
-		Handler: func(ctx *lambda.Context, payload []byte) ([]byte, error) {
+		Handler: func(ctx *platform.Context, payload []byte) ([]byte, error) {
 			p := ctx.Proc()
 			data, err := s3.Get(p, "videos/input")
 			if err != nil {
@@ -56,7 +65,7 @@ func main() {
 			if err != nil {
 				return nil, err
 			}
-			chunks, err := v.Split(*workers)
+			chunks, err := v.Split(workers)
 			if err != nil {
 				return nil, err
 			}
@@ -75,9 +84,9 @@ func main() {
 	})
 
 	// Detect: fetch chunk + model, run the REAL detector, store results.
-	env.AWS.Lambda.MustRegister(lambda.Config{
+	env.AWS.Lambda.MustRegister(platform.FunctionConfig{
 		Name: "detect", MemoryMB: 2048, ConsumedMemMB: 900,
-		Handler: func(ctx *lambda.Context, payload []byte) ([]byte, error) {
+		Handler: func(ctx *platform.Context, payload []byte) ([]byte, error) {
 			var key string
 			if err := json.Unmarshal(payload, &key); err != nil {
 				return nil, err
@@ -112,9 +121,9 @@ func main() {
 	})
 
 	// Merge: gather per-chunk detections in order.
-	env.AWS.Lambda.MustRegister(lambda.Config{
+	env.AWS.Lambda.MustRegister(platform.FunctionConfig{
 		Name: "merge", MemoryMB: 2048, ConsumedMemMB: 760,
-		Handler: func(ctx *lambda.Context, payload []byte) ([]byte, error) {
+		Handler: func(ctx *platform.Context, payload []byte) ([]byte, error) {
 			var in struct {
 				Results []string `json:"results"`
 			}
@@ -150,40 +159,35 @@ func main() {
 		},
 	}
 	if err := env.AWS.SFN.CreateStateMachine("video", machine); err != nil {
-		fail(err)
+		return err
 	}
 
 	var exec *sfn.Execution
 	env.K.Spawn("client", func(p *sim.Proc) {
 		defer env.Stop()
-		var err error
 		exec, err = env.AWS.SFN.StartExecution(p, "video", map[string]any{})
-		if err != nil {
-			fail(err)
-		}
 	})
 	env.K.Run()
+	if err != nil {
+		return err
+	}
 	if exec.Err != nil {
-		fail(exec.Err)
+		return exec.Err
 	}
 
 	// Validate against ground truth.
 	outJSON, _ := json.Marshal(exec.Output)
 	var dets [][]video.Detection
 	if err := json.Unmarshal(outJSON, &dets); err != nil {
-		fail(err)
+		return err
 	}
 	precision, recall := video.Evaluate(dets, truth, 0.3)
-	fmt.Printf("workflow: %d transitions, simulated e2e %v\n", exec.Transitions, exec.Duration())
-	fmt.Printf("detections across %d frames: precision %.2f, recall %.2f (IoU 0.3)\n",
+	fmt.Fprintf(w, "workflow: %d transitions, simulated e2e %v\n", exec.Transitions, exec.Duration())
+	fmt.Fprintf(w, "detections across %d frames: precision %.2f, recall %.2f (IoU 0.3)\n",
 		len(dets), precision, recall)
 	if recall < 0.6 {
-		fail(fmt.Errorf("recall %.2f too low — pipeline broken", recall))
+		return fmt.Errorf("recall %.2f too low — pipeline broken", recall)
 	}
-	fmt.Println("parallel chunked detection matches the paper's Fig 5 pipeline.")
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "videoanalytics:", err)
-	os.Exit(1)
+	fmt.Fprintln(w, "parallel chunked detection matches the paper's Fig 5 pipeline.")
+	return nil
 }

@@ -16,7 +16,7 @@ import (
 // Cloud is one simulated AWS region/account.
 type Cloud struct {
 	Params platform.AWSParams
-	Lambda *lambda.Service
+	Lambda *platform.FaaS
 	SFN    *sfn.Service
 	S3     *blob.Store
 }

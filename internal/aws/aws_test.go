@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"statebench/internal/aws/lambda"
 	"statebench/internal/obs/instr"
 	"statebench/internal/platform"
 	"statebench/internal/sim"
@@ -16,7 +15,7 @@ func TestCloudAssembly(t *testing.T) {
 	if c.Lambda == nil || c.SFN == nil || c.S3 == nil {
 		t.Fatal("cloud incomplete")
 	}
-	c.Lambda.MustRegister(lambda.Config{Name: "f", MemoryMB: 128, Handler: func(ctx *lambda.Context, p []byte) ([]byte, error) {
+	c.Lambda.MustRegister(platform.FunctionConfig{Name: "f", MemoryMB: 128, Handler: func(ctx *platform.Context, p []byte) ([]byte, error) {
 		ctx.Busy(time.Second)
 		return p, nil
 	}})

@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"statebench/internal/aws/lambda"
 	"statebench/internal/aws/sfn"
 	"statebench/internal/core"
 	"statebench/internal/flow"
@@ -29,14 +28,6 @@ func init() {
 	flow.RegisterLowerer(machineLowerer{})
 }
 
-// memoryMB resolves a node's provisioned memory tier.
-func memoryMB(n *flow.Node) int {
-	if n.MemMB > 0 {
-		return n.MemMB
-	}
-	return defaultMemoryMB
-}
-
 // bind resolves a definition's stage closures for one AWS lowering.
 func bind(env *core.Env, def *flow.Definition, impl core.Impl, class flow.Class) (*flow.Stages, error) {
 	return def.Bind(flow.Binding{
@@ -46,25 +37,6 @@ func bind(env *core.Env, def *flow.Definition, impl core.Impl, class flow.Class)
 		Provider: providerName,
 		Class:    class,
 	})
-}
-
-// registerTask installs one task node as a Lambda wrapping its bound
-// stage.
-func registerTask(env *core.Env, st *flow.Stages, n *flow.Node) error {
-	stage, err := st.Task(n.Stage)
-	if err != nil {
-		return err
-	}
-	_, err = env.AWS.Lambda.Register(lambda.Config{
-		Name:          n.Fn,
-		MemoryMB:      memoryMB(n),
-		ConsumedMemMB: n.ConsumedMemMB,
-		CodeSizeMB:    n.CodeSizeMB,
-		Handler: func(ctx *lambda.Context, input []byte) ([]byte, error) {
-			return stage(ctx, input)
-		},
-	})
-	return err
 }
 
 // --- Mono: single-Lambda monolith (AWS-Lambda) ---
@@ -87,11 +59,11 @@ func (monoLowerer) Lower(env *core.Env, def *flow.Definition) (*core.Deployment,
 		return nil, err
 	}
 	n := g.Node(g.Start)
-	if err := registerTask(env, st, n); err != nil {
+	if err := flow.RegisterTask(env.AWS.Lambda, st, n, defaultMemoryMB); err != nil {
 		return nil, err
 	}
 	return &core.Deployment{
-		Runner:     &lambdaRunner{env: env, fn: n.Fn},
+		Runner:     &flow.FunctionRunner{Svc: env.AWS.Lambda, Fn: n.Fn},
 		FuncCount:  g.FuncCount,
 		CodeSizeMB: g.DeployCodeSizeMB(providerName),
 	}, nil
@@ -101,28 +73,7 @@ func (monoLowerer) Program(def *flow.Definition) (string, error) {
 	g := def.Graphs[flow.Mono]
 	n := g.Node(g.Start)
 	return fmt.Sprintf("lambda %s memory=%dMB consumed=%dMB code=%.1fMB stage=%s\n",
-		n.Fn, memoryMB(n), n.ConsumedMemMB, n.CodeSizeMB, n.Stage), nil
-}
-
-// lambdaRunner invokes a single Lambda synchronously.
-type lambdaRunner struct {
-	env *core.Env
-	fn  string
-}
-
-// Invoke implements core.Runner.
-func (r *lambdaRunner) Invoke(p *sim.Proc, _ []byte) (core.RunStats, error) {
-	inv, err := r.env.AWS.Lambda.Invoke(p, r.fn, nil)
-	if err != nil {
-		return core.RunStats{}, err
-	}
-	return core.RunStats{
-		E2E:       inv.Total,
-		ColdStart: inv.ColdStartDelay,
-		ExecTime:  inv.ExecTime,
-		Output:    inv.Output,
-		Err:       inv.Err,
-	}, nil
+		n.Fn, n.MemoryMB(defaultMemoryMB), n.ConsumedMemMB, n.CodeSizeMB, n.Stage), nil
 }
 
 // --- Machine: Step Functions state machine (AWS-Step) ---
@@ -185,16 +136,16 @@ func registerGraph(env *core.Env, st *flow.Stages, g *flow.Graph) error {
 	for _, n := range g.Nodes {
 		switch n.Kind {
 		case flow.KindTask:
-			if err := registerTask(env, st, n); err != nil {
+			if err := flow.RegisterTask(env.AWS.Lambda, st, n, defaultMemoryMB); err != nil {
 				return err
 			}
 		case flow.KindMap:
-			if err := registerTask(env, st, n.Iter); err != nil {
+			if err := flow.RegisterTask(env.AWS.Lambda, st, n.Iter, defaultMemoryMB); err != nil {
 				return err
 			}
 		case flow.KindParallel:
 			for _, b := range n.Branches {
-				if err := registerTask(env, st, b); err != nil {
+				if err := flow.RegisterTask(env.AWS.Lambda, st, b, defaultMemoryMB); err != nil {
 					return err
 				}
 			}

@@ -10,6 +10,10 @@ import (
 	"statebench/internal/sim"
 )
 
+// These tests pin the shared service's behaviour through Lambda's
+// configuration; internal/platform/faas_test.go runs the same
+// behaviours, and the chaos branches, on every per-request provider.
+
 // fixedParams makes every latency deterministic for exact assertions.
 func fixedParams() platform.AWSParams {
 	p := platform.DefaultAWS()
@@ -22,7 +26,7 @@ func fixedParams() platform.AWSParams {
 	return p
 }
 
-func echo(ctx *Context, payload []byte) ([]byte, error) {
+func echo(ctx *platform.Context, payload []byte) ([]byte, error) {
 	ctx.Busy(100 * time.Millisecond)
 	return payload, nil
 }
@@ -30,19 +34,19 @@ func echo(ctx *Context, payload []byte) ([]byte, error) {
 func TestRegisterValidation(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := New(k, fixedParams(), &instr.Hooks{})
-	if _, err := s.Register(Config{Name: "f", MemoryMB: 100, Handler: echo}); err == nil {
+	if _, err := s.Register(platform.FunctionConfig{Name: "f", MemoryMB: 100, Handler: echo}); err == nil {
 		t.Fatal("non-multiple memory accepted")
 	}
-	if _, err := s.Register(Config{Name: "", MemoryMB: 128, Handler: echo}); err == nil {
+	if _, err := s.Register(platform.FunctionConfig{Name: "", MemoryMB: 128, Handler: echo}); err == nil {
 		t.Fatal("empty name accepted")
 	}
-	if _, err := s.Register(Config{Name: "f", MemoryMB: 128}); err == nil {
+	if _, err := s.Register(platform.FunctionConfig{Name: "f", MemoryMB: 128}); err == nil {
 		t.Fatal("nil handler accepted")
 	}
-	if _, err := s.Register(Config{Name: "f", MemoryMB: 128, Handler: echo}); err != nil {
+	if _, err := s.Register(platform.FunctionConfig{Name: "f", MemoryMB: 128, Handler: echo}); err != nil {
 		t.Fatalf("valid register failed: %v", err)
 	}
-	if _, err := s.Register(Config{Name: "f", MemoryMB: 128, Handler: echo}); err == nil {
+	if _, err := s.Register(platform.FunctionConfig{Name: "f", MemoryMB: 128, Handler: echo}); err == nil {
 		t.Fatal("duplicate register accepted")
 	}
 }
@@ -50,8 +54,8 @@ func TestRegisterValidation(t *testing.T) {
 func TestColdThenWarm(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := New(k, fixedParams(), &instr.Hooks{})
-	s.MustRegister(Config{Name: "f", MemoryMB: 128, CodeSizeMB: 50, Handler: echo})
-	var first, second *Invocation
+	s.MustRegister(platform.FunctionConfig{Name: "f", MemoryMB: 128, CodeSizeMB: 50, Handler: echo})
+	var first, second *platform.Invocation
 	k.Spawn("client", func(p *sim.Proc) {
 		first, _ = s.Invoke(p, "f", []byte("a"))
 		second, _ = s.Invoke(p, "f", []byte("b"))
@@ -76,8 +80,8 @@ func TestColdThenWarm(t *testing.T) {
 func TestKeepAliveExpiry(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := New(k, fixedParams(), &instr.Hooks{}) // 1 min keep-alive
-	f := s.MustRegister(Config{Name: "f", MemoryMB: 128, Handler: echo})
-	var again *Invocation
+	f := s.MustRegister(platform.FunctionConfig{Name: "f", MemoryMB: 128, Handler: echo})
+	var again *platform.Invocation
 	k.Spawn("client", func(p *sim.Proc) {
 		if _, err := s.Invoke(p, "f", nil); err != nil {
 			t.Errorf("invoke: %v", err)
@@ -97,13 +101,13 @@ func TestKeepAliveExpiry(t *testing.T) {
 func TestPayloadLimit(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := New(k, fixedParams(), &instr.Hooks{})
-	s.MustRegister(Config{Name: "f", MemoryMB: 128, Handler: echo})
+	s.MustRegister(platform.FunctionConfig{Name: "f", MemoryMB: 128, Handler: echo})
 	var err error
 	k.Spawn("client", func(p *sim.Proc) {
 		_, err = s.Invoke(p, "f", make([]byte, 256*1024+1))
 	})
 	k.Run()
-	var tooBig *PayloadTooLargeError
+	var tooBig *platform.PayloadTooLargeError
 	if !errors.As(err, &tooBig) {
 		t.Fatalf("err = %v, want PayloadTooLargeError", err)
 	}
@@ -112,11 +116,11 @@ func TestPayloadLimit(t *testing.T) {
 func TestBurstConcurrencyQueues(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := New(k, fixedParams(), &instr.Hooks{}) // burst = 2
-	slow := func(ctx *Context, payload []byte) ([]byte, error) {
+	slow := func(ctx *platform.Context, payload []byte) ([]byte, error) {
 		ctx.Busy(time.Second)
 		return nil, nil
 	}
-	s.MustRegister(Config{Name: "slow", MemoryMB: 128, Handler: slow})
+	s.MustRegister(platform.FunctionConfig{Name: "slow", MemoryMB: 128, Handler: slow})
 	queued := 0
 	for i := 0; i < 4; i++ {
 		k.Spawn("client", func(p *sim.Proc) {
@@ -140,15 +144,15 @@ func TestTimeout(t *testing.T) {
 	k := sim.NewKernel(1)
 	params := fixedParams()
 	s := New(k, params, &instr.Hooks{})
-	hang := func(ctx *Context, payload []byte) ([]byte, error) {
+	hang := func(ctx *platform.Context, payload []byte) ([]byte, error) {
 		ctx.Busy(10 * time.Second)
 		return []byte("never"), nil
 	}
-	s.MustRegister(Config{Name: "h", MemoryMB: 128, Timeout: time.Second, Handler: hang})
-	var inv *Invocation
+	s.MustRegister(platform.FunctionConfig{Name: "h", MemoryMB: 128, Timeout: time.Second, Handler: hang})
+	var inv *platform.Invocation
 	k.Spawn("client", func(p *sim.Proc) { inv, _ = s.Invoke(p, "h", nil) })
 	k.Run()
-	var te *TimeoutError
+	var te *platform.TimeoutError
 	if !errors.As(inv.Err, &te) {
 		t.Fatalf("err = %v, want TimeoutError", inv.Err)
 	}
@@ -163,7 +167,7 @@ func TestTimeout(t *testing.T) {
 func TestBillingRoundsTo100ms(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := New(k, fixedParams(), &instr.Hooks{})
-	f := s.MustRegister(Config{Name: "f", MemoryMB: 1536, ConsumedMemMB: 400, Handler: func(ctx *Context, _ []byte) ([]byte, error) {
+	f := s.MustRegister(platform.FunctionConfig{Name: "f", MemoryMB: 1536, ConsumedMemMB: 400, Handler: func(ctx *platform.Context, _ []byte) ([]byte, error) {
 		ctx.Busy(110 * time.Millisecond)
 		return nil, nil
 	}})
@@ -194,10 +198,10 @@ func TestHandlerErrorReported(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := New(k, fixedParams(), &instr.Hooks{})
 	boom := errors.New("boom")
-	s.MustRegister(Config{Name: "f", MemoryMB: 128, Handler: func(*Context, []byte) ([]byte, error) {
+	s.MustRegister(platform.FunctionConfig{Name: "f", MemoryMB: 128, Handler: func(*platform.Context, []byte) ([]byte, error) {
 		return nil, boom
 	}})
-	var inv *Invocation
+	var inv *platform.Invocation
 	k.Spawn("client", func(p *sim.Proc) { inv, _ = s.Invoke(p, "f", nil) })
 	k.Run()
 	if !errors.Is(inv.Err, boom) {
@@ -212,7 +216,7 @@ func TestHandlerErrorReported(t *testing.T) {
 func TestStatsAndMeters(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := New(k, fixedParams(), &instr.Hooks{})
-	s.MustRegister(Config{Name: "f", MemoryMB: 128, Handler: echo})
+	s.MustRegister(platform.FunctionConfig{Name: "f", MemoryMB: 128, Handler: echo})
 	k.Spawn("client", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
 			if _, err := s.Invoke(p, "f", nil); err != nil {

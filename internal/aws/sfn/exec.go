@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"statebench/internal/aws/lambda"
 	"statebench/internal/chaos"
 	"statebench/internal/obs/instr"
 	"statebench/internal/obs/span"
@@ -20,7 +19,7 @@ type Service struct {
 	k        *sim.Kernel
 	rng      *sim.RNG
 	params   platform.AWSParams
-	lambda   *lambda.Service
+	lambda   *platform.FaaS
 	machines map[string]*StateMachine
 	// TotalTransitions aggregates billable transitions across all
 	// executions since the last reset.
@@ -35,7 +34,7 @@ type Service struct {
 
 // New creates a Step Functions service bound to a Lambda service,
 // sharing its instrumentation bundle.
-func New(k *sim.Kernel, params platform.AWSParams, lsvc *lambda.Service) *Service {
+func New(k *sim.Kernel, params platform.AWSParams, lsvc *platform.FaaS) *Service {
 	return &Service{k: k, rng: k.Stream("aws/sfn"), params: params, lambda: lsvc, machines: make(map[string]*StateMachine), hooks: lsvc.Hooks()}
 }
 

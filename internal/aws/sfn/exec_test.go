@@ -13,7 +13,7 @@ import (
 )
 
 // fixture builds a kernel + lambda + sfn with deterministic latencies.
-func fixture() (*sim.Kernel, *lambda.Service, *Service) {
+func fixture() (*sim.Kernel, *platform.FaaS, *Service) {
 	k := sim.NewKernel(1)
 	params := platform.DefaultAWS()
 	params.InvokeRTT = sim.Fixed{D: time.Millisecond}
@@ -27,8 +27,8 @@ func fixture() (*sim.Kernel, *lambda.Service, *Service) {
 }
 
 // regDouble registers a lambda that doubles {"n": x}.
-func regDouble(lsvc *lambda.Service, name string, busy time.Duration) {
-	lsvc.MustRegister(lambda.Config{Name: name, MemoryMB: 128, Handler: func(ctx *lambda.Context, payload []byte) ([]byte, error) {
+func regDouble(lsvc *platform.FaaS, name string, busy time.Duration) {
+	lsvc.MustRegister(platform.FunctionConfig{Name: name, MemoryMB: 128, Handler: func(ctx *platform.Context, payload []byte) ([]byte, error) {
 		var in map[string]any
 		if err := json.Unmarshal(payload, &in); err != nil {
 			return nil, err
@@ -94,7 +94,7 @@ func TestFirstTaskDelayIsColdStartMetric(t *testing.T) {
 
 func TestMapFanOutAndOrder(t *testing.T) {
 	k, lsvc, s := fixture()
-	lsvc.MustRegister(lambda.Config{Name: "inc", MemoryMB: 128, Handler: func(ctx *lambda.Context, payload []byte) ([]byte, error) {
+	lsvc.MustRegister(platform.FunctionConfig{Name: "inc", MemoryMB: 128, Handler: func(ctx *platform.Context, payload []byte) ([]byte, error) {
 		var n float64
 		if err := json.Unmarshal(payload, &n); err != nil {
 			return nil, err
@@ -134,7 +134,7 @@ func TestMapFanOutAndOrder(t *testing.T) {
 
 func TestMapMaxConcurrencyLimitsParallelism(t *testing.T) {
 	k, lsvc, s := fixture()
-	lsvc.MustRegister(lambda.Config{Name: "sleep1s", MemoryMB: 128, Handler: func(ctx *lambda.Context, payload []byte) ([]byte, error) {
+	lsvc.MustRegister(platform.FunctionConfig{Name: "sleep1s", MemoryMB: 128, Handler: func(ctx *platform.Context, payload []byte) ([]byte, error) {
 		ctx.Busy(time.Second)
 		return []byte("1"), nil
 	}})
@@ -158,7 +158,7 @@ func TestMapMaxConcurrencyLimitsParallelism(t *testing.T) {
 	}
 	e1, _ := run(k, s, "unbounded", map[string]any{"items": items})
 	k2, lsvc2, s2 := fixture()
-	lsvc2.MustRegister(lambda.Config{Name: "sleep1s", MemoryMB: 128, Handler: func(ctx *lambda.Context, payload []byte) ([]byte, error) {
+	lsvc2.MustRegister(platform.FunctionConfig{Name: "sleep1s", MemoryMB: 128, Handler: func(ctx *platform.Context, payload []byte) ([]byte, error) {
 		ctx.Busy(time.Second)
 		return []byte("1"), nil
 	}})

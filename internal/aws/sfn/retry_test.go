@@ -6,13 +6,13 @@ import (
 	"testing"
 	"time"
 
-	"statebench/internal/aws/lambda"
+	"statebench/internal/platform"
 )
 
 // flakyLambda fails the first n invocations, then succeeds.
-func regFlaky(lsvc *lambda.Service, name string, failures int) *int {
+func regFlaky(lsvc *platform.FaaS, name string, failures int) *int {
 	calls := 0
-	lsvc.MustRegister(lambda.Config{Name: name, MemoryMB: 128, Handler: func(ctx *lambda.Context, payload []byte) ([]byte, error) {
+	lsvc.MustRegister(platform.FunctionConfig{Name: name, MemoryMB: 128, Handler: func(ctx *platform.Context, payload []byte) ([]byte, error) {
 		calls++
 		ctx.Busy(10 * time.Millisecond)
 		if calls <= failures {

@@ -16,7 +16,6 @@ import (
 	"statebench/internal/obs/span"
 	"statebench/internal/platform"
 	"statebench/internal/sim"
-	"statebench/internal/trace"
 )
 
 // Handler is a function body. Compute is modeled with ctx.Busy; I/O by
@@ -119,10 +118,6 @@ type Host struct {
 	// onActivity fires on every Submit: an active app's listeners are
 	// scheduled eagerly, so queue-trigger pollers reset their back-off.
 	onActivity []func()
-
-	// Logs, when non-nil, receives an Application-Insights-style
-	// record per execution, cold start, and error.
-	Logs *trace.Collector
 
 	// hooks is the deployment's instrumentation bundle: its tracer gets
 	// spans per execution (scheduling delay as queue or coldstart, plus
@@ -361,15 +356,6 @@ func (h *Host) run(inst *platform.Container, wi *workItem) {
 		f.Execs++
 		if err != nil {
 			f.Errors++
-		}
-		if h.Logs != nil {
-			h.Logs.Invocation(p.Now(), wi.fn, exec)
-			if wi.cold {
-				h.Logs.ColdStart(p.Now(), wi.fn, sched)
-			}
-			if err != nil {
-				h.Logs.Error(p.Now(), wi.fn, err.Error())
-			}
 		}
 		h.stats.Completed++
 		wi.done.Complete(Result{Output: out, Err: err, SchedDelay: sched, Cold: wi.cold, ExecTime: exec}, nil)

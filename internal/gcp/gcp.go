@@ -26,7 +26,7 @@ const (
 // Cloud is one simulated GCP project/region.
 type Cloud struct {
 	Params    platform.GCPParams
-	Functions *Functions
+	Functions *platform.FaaS
 	Workflows *Workflows
 	GCS       *blob.Store
 }

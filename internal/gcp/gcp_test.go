@@ -11,6 +11,11 @@ import (
 	"statebench/internal/sim"
 )
 
+// The Cloud Functions tests below pin the shared service's behaviour
+// through GCP's configuration; internal/platform/faas_test.go runs the
+// same behaviours, and the chaos branches, on every per-request
+// provider.
+
 // fixedParams makes every latency deterministic for exact assertions.
 func fixedParams() platform.GCPParams {
 	p := platform.DefaultGCP()
@@ -25,7 +30,7 @@ func fixedParams() platform.GCPParams {
 	return p
 }
 
-func echo(ctx *Context, payload []byte) ([]byte, error) {
+func echo(ctx *platform.Context, payload []byte) ([]byte, error) {
 	ctx.Busy(100 * time.Millisecond)
 	return payload, nil
 }
@@ -33,19 +38,19 @@ func echo(ctx *Context, payload []byte) ([]byte, error) {
 func TestRegisterValidation(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := NewFunctions(k, fixedParams(), &instr.Hooks{})
-	if _, err := s.Register(Config{Name: "f", MemoryMB: 300, Handler: echo}); err == nil {
+	if _, err := s.Register(platform.FunctionConfig{Name: "f", MemoryMB: 300, Handler: echo}); err == nil {
 		t.Fatal("non-tier memory accepted")
 	}
-	if _, err := s.Register(Config{Name: "", MemoryMB: 256, Handler: echo}); err == nil {
+	if _, err := s.Register(platform.FunctionConfig{Name: "", MemoryMB: 256, Handler: echo}); err == nil {
 		t.Fatal("empty name accepted")
 	}
-	if _, err := s.Register(Config{Name: "f", MemoryMB: 256}); err == nil {
+	if _, err := s.Register(platform.FunctionConfig{Name: "f", MemoryMB: 256}); err == nil {
 		t.Fatal("nil handler accepted")
 	}
-	if _, err := s.Register(Config{Name: "f", MemoryMB: 256, Handler: echo}); err != nil {
+	if _, err := s.Register(platform.FunctionConfig{Name: "f", MemoryMB: 256, Handler: echo}); err != nil {
 		t.Fatalf("valid register failed: %v", err)
 	}
-	if _, err := s.Register(Config{Name: "f", MemoryMB: 256, Handler: echo}); err == nil {
+	if _, err := s.Register(platform.FunctionConfig{Name: "f", MemoryMB: 256, Handler: echo}); err == nil {
 		t.Fatal("duplicate register accepted")
 	}
 }
@@ -53,10 +58,10 @@ func TestRegisterValidation(t *testing.T) {
 func TestColdThenWarm(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := NewFunctions(k, fixedParams(), &instr.Hooks{})
-	if _, err := s.Register(Config{Name: "f", MemoryMB: 256, CodeSizeMB: 50, Handler: echo}); err != nil {
+	if _, err := s.Register(platform.FunctionConfig{Name: "f", MemoryMB: 256, CodeSizeMB: 50, Handler: echo}); err != nil {
 		t.Fatal(err)
 	}
-	var first, second *Invocation
+	var first, second *platform.Invocation
 	k.Spawn("client", func(p *sim.Proc) {
 		first, _ = s.Invoke(p, "f", []byte("a"))
 		second, _ = s.Invoke(p, "f", []byte("b"))
@@ -81,16 +86,16 @@ func TestColdThenWarm(t *testing.T) {
 func TestTimeoutClampsBilling(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := NewFunctions(k, fixedParams(), &instr.Hooks{})
-	if _, err := s.Register(Config{Name: "h", MemoryMB: 256, Timeout: time.Second, Handler: func(ctx *Context, _ []byte) ([]byte, error) {
+	if _, err := s.Register(platform.FunctionConfig{Name: "h", MemoryMB: 256, Timeout: time.Second, Handler: func(ctx *platform.Context, _ []byte) ([]byte, error) {
 		ctx.Busy(10 * time.Second)
 		return []byte("never"), nil
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	var inv *Invocation
+	var inv *platform.Invocation
 	k.Spawn("client", func(p *sim.Proc) { inv, _ = s.Invoke(p, "h", nil) })
 	k.Run()
-	var te *TimeoutError
+	var te *platform.TimeoutError
 	if !errors.As(inv.Err, &te) {
 		t.Fatalf("err = %v, want TimeoutError", inv.Err)
 	}
@@ -106,7 +111,7 @@ func TestTimeLimitCapsConfiguredTimeout(t *testing.T) {
 	k := sim.NewKernel(1)
 	params := fixedParams()
 	s := NewFunctions(k, params, &instr.Hooks{})
-	f, err := s.Register(Config{Name: "f", MemoryMB: 256, Timeout: time.Hour, Handler: echo})
+	f, err := s.Register(platform.FunctionConfig{Name: "f", MemoryMB: 256, Timeout: time.Hour, Handler: echo})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +123,7 @@ func TestTimeLimitCapsConfiguredTimeout(t *testing.T) {
 func TestBillingRoundsTo100msOnConfiguredTier(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := NewFunctions(k, fixedParams(), &instr.Hooks{})
-	f, err := s.Register(Config{Name: "f", MemoryMB: 2048, ConsumedMemMB: 400, Handler: func(ctx *Context, _ []byte) ([]byte, error) {
+	f, err := s.Register(platform.FunctionConfig{Name: "f", MemoryMB: 2048, ConsumedMemMB: 400, Handler: func(ctx *platform.Context, _ []byte) ([]byte, error) {
 		ctx.Busy(110 * time.Millisecond)
 		return nil, nil
 	}})
@@ -142,7 +147,7 @@ func TestWorkflowStepsAndFirstCallDelay(t *testing.T) {
 	params := fixedParams()
 	fns := NewFunctions(k, params, &instr.Hooks{})
 	wfs := NewWorkflows(k, params, fns)
-	if _, err := fns.Register(Config{Name: "f", MemoryMB: 256, Handler: echo}); err != nil {
+	if _, err := fns.Register(platform.FunctionConfig{Name: "f", MemoryMB: 256, Handler: echo}); err != nil {
 		t.Fatal(err)
 	}
 	err := wfs.Create("wf", func(ctx *Ctx, input map[string]any) (map[string]any, error) {
@@ -185,7 +190,7 @@ func TestWorkflowParallelOverlaps(t *testing.T) {
 	params.BurstConcurrency = 8
 	fns := NewFunctions(k, params, &instr.Hooks{})
 	wfs := NewWorkflows(k, params, fns)
-	if _, err := fns.Register(Config{Name: "slow", MemoryMB: 256, Handler: func(ctx *Context, _ []byte) ([]byte, error) {
+	if _, err := fns.Register(platform.FunctionConfig{Name: "slow", MemoryMB: 256, Handler: func(ctx *platform.Context, _ []byte) ([]byte, error) {
 		ctx.Busy(time.Second)
 		return nil, nil
 	}}); err != nil {
@@ -225,8 +230,8 @@ func TestWorkflowRetryRecoversInjectedFault(t *testing.T) {
 	inj := chaos.NewInjector(k, &chaos.Plan{Rules: []chaos.Rule{
 		{Component: "gwf", Kind: chaos.TransientError, Rate: 1, MaxFaults: 1},
 	}})
-	fns.hooks.Chaos = inj
-	if _, err := fns.Register(Config{Name: "f", MemoryMB: 256, Handler: echo}); err != nil {
+	fns.Hooks().Chaos = inj
+	if _, err := fns.Register(platform.FunctionConfig{Name: "f", MemoryMB: 256, Handler: echo}); err != nil {
 		t.Fatal(err)
 	}
 	if err := wfs.Create("wf", func(ctx *Ctx, _ map[string]any) (map[string]any, error) {
@@ -263,7 +268,7 @@ func TestWorkflowCallExhaustsRetries(t *testing.T) {
 	fns := NewFunctions(k, params, &instr.Hooks{})
 	wfs := NewWorkflows(k, params, fns)
 	boom := errors.New("boom")
-	if _, err := fns.Register(Config{Name: "f", MemoryMB: 256, Handler: func(*Context, []byte) ([]byte, error) {
+	if _, err := fns.Register(platform.FunctionConfig{Name: "f", MemoryMB: 256, Handler: func(*platform.Context, []byte) ([]byte, error) {
 		return nil, boom
 	}}); err != nil {
 		t.Fatal(err)
@@ -291,7 +296,7 @@ func TestWorkflowCallExhaustsRetries(t *testing.T) {
 func TestUsageAggregatesAcrossServices(t *testing.T) {
 	k := sim.NewKernel(1)
 	c := New(k, fixedParams(), &instr.Hooks{})
-	if _, err := c.Functions.Register(Config{Name: "f", MemoryMB: 256, Handler: func(ctx *Context, _ []byte) ([]byte, error) {
+	if _, err := c.Functions.Register(platform.FunctionConfig{Name: "f", MemoryMB: 256, Handler: func(ctx *platform.Context, _ []byte) ([]byte, error) {
 		ctx.Busy(50 * time.Millisecond)
 		c.GCS.Put(ctx.Proc(), "k", []byte("v"))
 		return nil, nil

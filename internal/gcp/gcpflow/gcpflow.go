@@ -37,33 +37,6 @@ func init() {
 	flow.RegisterLowerer(wflowLowerer{})
 }
 
-// memoryMB resolves a node's provisioned memory tier.
-func memoryMB(n *flow.Node) int {
-	if n.MemMB > 0 {
-		return n.MemMB
-	}
-	return defaultMemoryMB
-}
-
-// registerTask installs one task node as a Cloud Function wrapping its
-// bound stage.
-func registerTask(gc *gcp.Cloud, st *flow.Stages, n *flow.Node) error {
-	stage, err := st.Task(n.Stage)
-	if err != nil {
-		return err
-	}
-	_, err = gc.Functions.Register(gcp.Config{
-		Name:          n.Fn,
-		MemoryMB:      memoryMB(n),
-		ConsumedMemMB: n.ConsumedMemMB,
-		CodeSizeMB:    n.CodeSizeMB,
-		Handler: func(ctx *gcp.Context, input []byte) ([]byte, error) {
-			return stage(ctx, input)
-		},
-	})
-	return err
-}
-
 // --- Mono: single Cloud Function (GCP-Func) ---
 
 type monoLowerer struct{}
@@ -84,11 +57,11 @@ func (monoLowerer) Lower(env *core.Env, def *flow.Definition) (*core.Deployment,
 		return nil, err
 	}
 	n := g.Node(g.Start)
-	if err := registerTask(gc, st, n); err != nil {
+	if err := flow.RegisterTask(gc.Functions, st, n, defaultMemoryMB); err != nil {
 		return nil, err
 	}
 	return &core.Deployment{
-		Runner:     &gcfRunner{gc: gc, fn: n.Fn},
+		Runner:     &flow.FunctionRunner{Svc: gc.Functions, Fn: n.Fn},
 		FuncCount:  g.FuncCount,
 		CodeSizeMB: g.DeployCodeSizeMB(providerName),
 	}, nil
@@ -98,28 +71,7 @@ func (monoLowerer) Program(def *flow.Definition) (string, error) {
 	g := def.Graphs[flow.Mono]
 	n := g.Node(g.Start)
 	return fmt.Sprintf("function %s memory=%dMB consumed=%dMB code=%.1fMB stage=%s\n",
-		n.Fn, memoryMB(n), n.ConsumedMemMB, n.CodeSizeMB, n.Stage), nil
-}
-
-// gcfRunner invokes a single Cloud Function synchronously.
-type gcfRunner struct {
-	gc *gcp.Cloud
-	fn string
-}
-
-// Invoke implements core.Runner.
-func (r *gcfRunner) Invoke(p *sim.Proc, _ []byte) (core.RunStats, error) {
-	inv, err := r.gc.Functions.Invoke(p, r.fn, nil)
-	if err != nil {
-		return core.RunStats{}, err
-	}
-	return core.RunStats{
-		E2E:       inv.Total,
-		ColdStart: inv.ColdStartDelay,
-		ExecTime:  inv.ExecTime,
-		Output:    inv.Output,
-		Err:       inv.Err,
-	}, nil
+		n.Fn, n.MemoryMB(defaultMemoryMB), n.ConsumedMemMB, n.CodeSizeMB, n.Stage), nil
 }
 
 // --- Machine: GCP Workflows program (GCP-Wflow) ---
@@ -172,7 +124,7 @@ func (wflowLowerer) Program(def *flow.Definition) (string, error) {
 func programStep(n *flow.Node, indent string) string {
 	switch n.Kind {
 	case flow.KindTask:
-		return fmt.Sprintf("%sstep %s: call %s memory=%dMB\n", indent, n.Name, n.Fn, memoryMB(n))
+		return fmt.Sprintf("%sstep %s: call %s memory=%dMB\n", indent, n.Name, n.Fn, n.MemoryMB(defaultMemoryMB))
 	case flow.KindMap:
 		return fmt.Sprintf("%sstep %s: parallel map\n", indent, n.Name) + programStep(n.Iter, indent+"  ")
 	case flow.KindParallel:
@@ -197,7 +149,7 @@ func registerNodes(gc *gcp.Cloud, st *flow.Stages, n *flow.Node) error {
 		if n.Pure {
 			return nil
 		}
-		return registerTask(gc, st, n)
+		return flow.RegisterTask(gc.Functions, st, n, defaultMemoryMB)
 	case flow.KindMap:
 		return registerNodes(gc, st, n.Iter)
 	case flow.KindParallel:

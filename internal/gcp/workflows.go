@@ -20,7 +20,7 @@ type Workflows struct {
 	k      *sim.Kernel
 	rng    *sim.RNG
 	params platform.GCPParams
-	fns    *Functions
+	fns    *platform.FaaS
 	wfs    map[string]Definition
 	// TotalSteps aggregates billable executed steps across all
 	// executions since the last reset (retried steps bill again).
@@ -38,8 +38,8 @@ type Definition func(ctx *Ctx, input map[string]any) (map[string]any, error)
 
 // NewWorkflows creates a Workflows engine bound to a Functions service,
 // sharing its instrumentation bundle.
-func NewWorkflows(k *sim.Kernel, params platform.GCPParams, fns *Functions) *Workflows {
-	return &Workflows{k: k, rng: k.Stream("gcp/workflows"), params: params, fns: fns, wfs: make(map[string]Definition), hooks: fns.hooks}
+func NewWorkflows(k *sim.Kernel, params platform.GCPParams, fns *platform.FaaS) *Workflows {
+	return &Workflows{k: k, rng: k.Stream("gcp/workflows"), params: params, fns: fns, wfs: make(map[string]Definition), hooks: fns.Hooks()}
 }
 
 // Create registers a workflow definition under name.

@@ -1,6 +1,8 @@
-// Package platform holds the pieces shared by both simulated clouds:
-// compute billing meters and the calibration parameters (params.go) that
-// define each platform's latency and scaling behavior.
+// Package platform holds the pieces shared by the simulated clouds: the
+// per-request function service (FaaS) that AWS Lambda and GCP Cloud
+// Functions both configure, the container Pool every compute service
+// builds on, compute billing meters, and the calibration parameters
+// (params.go) that define each platform's latency and scaling behavior.
 package platform
 
 import "time"
@@ -37,8 +39,10 @@ func RoundUp(d, step time.Duration) time.Duration {
 	return d
 }
 
-// RecordAWS meters one Lambda execution: billed on configured memory,
-// duration rounded up to 100 ms.
+// RecordAWS meters one per-request execution (Lambda, and Cloud
+// Functions gen 1 alike): billed on configured memory, duration rounded
+// up to 100 ms. GCP's tier-coupled GHz-s charge is applied by its price
+// book, not here.
 func (m *Meter) RecordAWS(exec time.Duration, configuredMemMB, consumedMemMB int) {
 	m.Invocations++
 	m.ExecTime += exec
@@ -59,13 +63,6 @@ func (m *Meter) RecordAzure(exec time.Duration, consumedMemMB int) {
 	}
 	m.BilledGBs += d.Seconds() * float64(billedMem) / 1024
 	m.ConsumedGBs += exec.Seconds() * float64(consumedMemMB) / 1024
-}
-
-// RecordGCP meters one Cloud Functions (gen-1) execution: like AWS,
-// billed on configured memory with 100 ms duration round-up; the
-// tier-coupled GHz-s charge is applied by the price book, not here.
-func (m *Meter) RecordGCP(exec time.Duration, configuredMemMB, consumedMemMB int) {
-	m.RecordAWS(exec, configuredMemMB, consumedMemMB)
 }
 
 // Add merges another meter into m.

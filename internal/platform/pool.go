@@ -8,18 +8,19 @@ import (
 	"statebench/internal/sim"
 )
 
-// Pool is the shared container-lifecycle substrate both simulated
-// compute planes (and any registered third provider) are built on. It
-// owns the bookkeeping every FaaS runtime needs — warm-container
-// reuse with keep-alive expiry, instance provisioning counters, idle
-// tracking, reaping, and cold-start statistics — while the *policy*
-// (when to start containers, how fast to scale, which RNG stream to
-// sample cold-start delays from) stays with the provider:
+// Pool is the shared container-lifecycle substrate every simulated
+// compute plane is built on. It owns the bookkeeping every FaaS runtime
+// needs — warm-container reuse with keep-alive expiry, instance
+// provisioning counters, idle tracking, reaping, and cold-start
+// statistics — while the *policy* (when to start containers, how fast
+// to scale, which RNG stream to sample cold-start delays from) stays
+// with the service that owns the pool:
 //
-//   - AWS Lambda and GCP Cloud Functions scale per-request: every
-//     invocation either takes a warm entry (TakeWarm) or pays a cold
-//     start (RecordCold), then returns the container with a fresh
-//     keep-alive lease (Release).
+//   - The per-request scaling policy is FaaS's (AWS Lambda and GCP
+//     Cloud Functions alike, see faas.go): every invocation either
+//     takes a warm entry (TakeWarm) or pays a cold start (RecordCold),
+//     then returns the container with a fresh keep-alive lease
+//     (Release).
 //   - The Azure Functions host provisions long-lived worker instances
 //     through a rate-limited scale controller: BeginStart/FinishStart
 //     track the provisioning pipeline, PopIdle/PushIdle pair work with
@@ -27,10 +28,9 @@ import (
 //     eviction policy.
 //
 // A Pool is pure bookkeeping: it never samples randomness, schedules
-// events, or touches the kernel, so relocating this state out of the
-// provider packages cannot change any simulated timing or RNG draw
-// order. Like the services that embed it, a Pool belongs to one
-// kernel goroutine and needs no locking.
+// events, or touches the kernel, so where its owner lives cannot change
+// any simulated timing or RNG draw order. Like the services that embed
+// it, a Pool belongs to one kernel goroutine and needs no locking.
 type Pool struct {
 	// KeepAlive is how long a released warm container stays reusable
 	// (the per-request-scaling keep-alive policy). Providers using the

@@ -2,8 +2,9 @@
 // analogue: an append-only collector of structured invocation records
 // that the paper's methodology reads results from ("we often relied on
 // AWS CloudWatch and Azure Application Insight to collect the
-// results"). Hosts emit a record per function execution; queries
-// filter by function, kind, and virtual-time window.
+// results"). Queries filter by function, kind, and virtual-time window.
+// No simulated service emits into a Collector: spans
+// (internal/obs/span) carry the same per-invocation facts.
 package trace
 
 import (
