@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -18,16 +19,25 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "costexplorer:", err)
+		os.Exit(1)
+	}
+}
+
+// run projects both clouds' monthly bills across request rates and
+// writes the comparison to w.
+func run(w io.Writer) error {
 	rates := []int{1, 4, 24} // runs per day
 	tbl := obs.Table{Header: []string{"runs/day", "AWS-Step total", "AWS stateful", "Az-Dorch total", "Az stateful", "cheaper"}}
 	for _, perDay := range rates {
 		aws, err := project(core.AWSStep, perDay)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		az, err := project(core.AzDorch, perDay)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		cheaper := "AWS"
 		if az.Total() < aws.Total() {
@@ -38,10 +48,11 @@ func main() {
 			fmt.Sprintf("$%.4f", az.Total()), fmt.Sprintf("%.1f%%", az.StatefulShare()*100),
 			cheaper)
 	}
-	fmt.Println("projected monthly cost, video processing with 20 workers:")
-	fmt.Println(tbl.String())
-	fmt.Println("Azure's stateful share grows as usage drops: the task hub")
-	fmt.Println("polls its queues even when no workflow is running.")
+	fmt.Fprintln(w, "projected monthly cost, video processing with 20 workers:")
+	fmt.Fprintln(w, tbl.String())
+	fmt.Fprintln(w, "Azure's stateful share grows as usage drops: the task hub")
+	fmt.Fprintln(w, "polls its queues even when no workflow is running.")
+	return nil
 }
 
 // project simulates a 12h window at the given rate and scales to 30 days.
@@ -75,9 +86,4 @@ func project(impl core.Impl, runsPerDay int) (pricing.Bill, error) {
 	}
 	scale := float64(30*24*time.Hour) / float64(window)
 	return env.BookFor(impl).Bill(env.UsageFor(impl)).Scale(scale), nil
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "costexplorer:", err)
-	os.Exit(1)
 }

@@ -1,0 +1,25 @@
+package main
+
+import (
+	"bytes"
+	"testing"
+)
+
+// TestRunIsDeterministic runs the example twice: both runs succeed,
+// print the projection table, and print the same bytes.
+func TestRunIsDeterministic(t *testing.T) {
+	var outs [2]bytes.Buffer
+	for i := range outs {
+		if err := run(&outs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, want := range []string{"projected monthly cost, video processing with 20 workers:", "AWS-Step total", "Az-Dorch total"} {
+		if !bytes.Contains(outs[0].Bytes(), []byte(want)) {
+			t.Fatalf("report lacks %q:\n%s", want, outs[0].String())
+		}
+	}
+	if !bytes.Equal(outs[0].Bytes(), outs[1].Bytes()) {
+		t.Fatalf("runs differ:\n%s\n---\n%s", outs[0].String(), outs[1].String())
+	}
+}

@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -23,7 +24,16 @@ func main() {
 	approveAfter := flag.Duration("approveAfter", 2*time.Minute, "when the (simulated) human approves")
 	timeout := flag.Duration("timeout", 10*time.Minute, "approval deadline")
 	flag.Parse()
+	if err := run(os.Stdout, *approveAfter, *timeout); err != nil {
+		fmt.Fprintln(os.Stderr, "interactive:", err)
+		os.Exit(1)
+	}
+}
 
+// run deploys the purchase-approval orchestration, approves it after
+// approveAfter against a deadline of timeout, and writes the outcome
+// and the hub's bill to w.
+func run(w io.Writer, approveAfter, deadline time.Duration) error {
 	env := core.NewEnv(17)
 	hub := env.Azure.Hub
 
@@ -31,16 +41,15 @@ func main() {
 		ctx.Busy(3 * time.Second)
 		return []byte(`{"order":"#1042","total":"$1,299"}`), nil
 	}); err != nil {
-		fail(err)
+		return err
 	}
 	if err := hub.RegisterActivity("fulfil", 192, func(ctx *functions.Context, in []byte) ([]byte, error) {
 		ctx.Busy(5 * time.Second)
 		return []byte("shipped"), nil
 	}); err != nil {
-		fail(err)
+		return err
 	}
 
-	deadline := *timeout
 	if err := hub.RegisterOrchestrator("purchase", 150, func(ctx *durable.OrchestrationContext, input []byte) ([]byte, error) {
 		order, err := ctx.CallActivity("prepare-order", input).Await()
 		if err != nil {
@@ -65,42 +74,38 @@ func main() {
 		}
 		return []byte("order approved and shipped"), nil
 	}); err != nil {
-		fail(err)
+		return err
 	}
 
 	var outcome []byte
 	var hd *durable.Handle
+	var runErr error
 	env.K.Spawn("client", func(p *sim.Proc) {
 		defer env.Stop()
-		var err error
-		hd, err = env.Azure.Client.StartOrchestration(p, "purchase", nil)
-		if err != nil {
-			fail(err)
+		hd, runErr = env.Azure.Client.StartOrchestration(p, "purchase", nil)
+		if runErr != nil {
+			return
 		}
 		// The "human": approves after a while (or never, if the
 		// deadline is shorter).
-		p.Sleep(*approveAfter)
+		p.Sleep(approveAfter)
 		if hd.Status() == durable.StatusRunning {
-			if err := env.Azure.Client.RaiseEvent(p, hd.ID, "ManagerApproval", []byte("approve")); err != nil {
-				fmt.Fprintln(os.Stderr, "raise:", err)
+			if runErr = env.Azure.Client.RaiseEvent(p, hd.ID, "ManagerApproval", []byte("approve")); runErr != nil {
+				return
 			}
 		}
-		outcome, err = hd.Wait(p)
-		if err != nil {
-			fail(err)
-		}
+		outcome, runErr = hd.Wait(p)
 	})
 	env.K.Run()
+	if runErr != nil {
+		return runErr
+	}
 
-	fmt.Printf("outcome: %s\n", outcome)
-	fmt.Printf("end-to-end: %v (approval raised at %v, deadline %v)\n", hd.E2E(), *approveAfter, deadline)
-	fmt.Printf("orchestrator episodes (replays): %d\n", hub.EpisodeCount)
-	fmt.Println()
-	fmt.Println("while the orchestration waited, the task hub kept polling its")
-	fmt.Printf("queues: %d billable storage transactions accrued.\n", hub.StorageTransactions())
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "interactive:", err)
-	os.Exit(1)
+	fmt.Fprintf(w, "outcome: %s\n", outcome)
+	fmt.Fprintf(w, "end-to-end: %v (approval raised at %v, deadline %v)\n", hd.E2E(), approveAfter, deadline)
+	fmt.Fprintf(w, "orchestrator episodes (replays): %d\n", hub.EpisodeCount)
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "while the orchestration waited, the task hub kept polling its")
+	fmt.Fprintf(w, "queues: %d billable storage transactions accrued.\n", hub.StorageTransactions())
+	return nil
 }

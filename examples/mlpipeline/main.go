@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"statebench/internal/core"
@@ -18,15 +19,24 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "mlpipeline:", err)
+		os.Exit(1)
+	}
+}
+
+// run measures both ML workflows in every style they deploy to, 10
+// warm iterations each, and writes the comparison tables to w.
+func run(w io.Writer) error {
 	opt := core.DefaultMeasureOptions()
 	opt.Iters = 10
 
-	fmt.Println("training the real pipeline once (encoder, scaler, PCA, models)...")
+	fmt.Fprintln(w, "training the real pipeline once (encoder, scaler, PCA, models)...")
 	arts, err := mlpipe.Train(mlpipe.Small)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Printf("best fit: %s (validation MSE %.3e), model %d KB\n\n",
+	fmt.Fprintf(w, "best fit: %s (validation MSE %.3e), model %d KB\n\n",
 		arts.BestName, arts.BestMSE, len(arts.ModelBytes[arts.BestName])/1024)
 
 	train := mltrain.New(mlpipe.Small)
@@ -34,7 +44,7 @@ func main() {
 	for _, impl := range train.Impls() {
 		s, err := core.Measure(train, impl, opt)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		tbl.AddRow(string(impl),
 			obs.FormatDuration(s.E2E.Median()),
@@ -43,27 +53,23 @@ func main() {
 			fmt.Sprintf("%.0f", s.MeanTxns),
 			fmt.Sprintf("$%.6f", s.MeanBill.Total()))
 	}
-	fmt.Println("ML training workflow (small dataset, 10 warm iterations):")
-	fmt.Println(tbl.String())
+	fmt.Fprintln(w, "ML training workflow (small dataset, 10 warm iterations):")
+	fmt.Fprintln(w, tbl.String())
 
 	infer := mlinfer.New(mlpipe.Small)
 	tbl2 := obs.Table{Header: []string{"impl", "median E2E", "p99 E2E"}}
 	for _, impl := range infer.Impls() {
 		s, err := core.Measure(infer, impl, opt)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		tbl2.AddRow(string(impl), obs.FormatDuration(s.E2E.Median()), obs.FormatDuration(s.E2E.P99()))
 	}
-	fmt.Println("ML inference workflow:")
-	fmt.Println(tbl2.String())
-	fmt.Println("note: on the small dataset the winning model is tiny, so AWS's")
-	fmt.Println("per-run model fetch+deserialize penalty vanishes and AWS wins.")
-	fmt.Println("Run `statebench fig9` (large dataset, ~MB model) for the paper's")
-	fmt.Println("result: Azure ~2x faster because entities hold the model warm.")
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "mlpipeline:", err)
-	os.Exit(1)
+	fmt.Fprintln(w, "ML inference workflow:")
+	fmt.Fprintln(w, tbl2.String())
+	fmt.Fprintln(w, "note: on the small dataset the winning model is tiny, so AWS's")
+	fmt.Fprintln(w, "per-run model fetch+deserialize penalty vanishes and AWS wins.")
+	fmt.Fprintln(w, "Run `statebench fig9` (large dataset, ~MB model) for the paper's")
+	fmt.Fprintln(w, "result: Azure ~2x faster because entities hold the model warm.")
+	return nil
 }

@@ -7,10 +7,10 @@
 package awsflow
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"statebench/internal/aws/sfn"
+	"statebench/internal/cloud/blob"
 	"statebench/internal/core"
 	"statebench/internal/flow"
 	"statebench/internal/sim"
@@ -23,98 +23,58 @@ const providerName = "AWS"
 // pin one — the paper's Lambda configurations default to 1536 MB.
 const defaultMemoryMB = 1536
 
+// maxTaskSeconds is Lambda's execution ceiling.
+const maxTaskSeconds = 900
+
 func init() {
-	flow.RegisterLowerer(monoLowerer{})
+	flow.RegisterLowerer(flow.MonoLowerer{
+		Style:          core.AWSLambda,
+		ProviderName:   providerName,
+		MaxTaskSeconds: maxTaskSeconds,
+		Store:          s3,
+		Register: func(env *core.Env, st *flow.Stages, n *flow.Node) (core.Runner, error) {
+			return flow.DeployFunction(env.AWS.Lambda, st, n, defaultMemoryMB)
+		},
+		Line: func(n *flow.Node) string {
+			return fmt.Sprintf("lambda %s memory=%dMB consumed=%dMB code=%.1fMB stage=%s",
+				n.Fn, n.MemoryMB(defaultMemoryMB), n.ConsumedMemMB, n.CodeSizeMB, n.Stage)
+		},
+	})
 	flow.RegisterLowerer(machineLowerer{})
 }
 
-// bind resolves a definition's stage closures for one AWS lowering.
-func bind(env *core.Env, def *flow.Definition, impl core.Impl, class flow.Class) (*flow.Stages, error) {
-	return def.Bind(flow.Binding{
-		Env:      env,
-		Blob:     env.AWS.S3,
-		Impl:     impl,
-		Provider: providerName,
-		Class:    class,
-	})
-}
-
-// --- Mono: single-Lambda monolith (AWS-Lambda) ---
-
-type monoLowerer struct{}
-
-func (monoLowerer) Impl() core.Impl   { return core.AWSLambda }
-func (monoLowerer) Class() flow.Class { return flow.Mono }
-func (monoLowerer) Variant() string   { return "" }
-
-// Caps: a monolith passes state through blobs, so no payload cap
-// applies; Lambda's execution ceiling is 900 s.
-func (monoLowerer) Caps() flow.Caps { return flow.Caps{MaxTaskSeconds: 900} }
-
-func (monoLowerer) Lower(env *core.Env, def *flow.Definition) (*core.Deployment, error) {
-	g := def.Graphs[flow.Mono]
-	flow.ApplyPreloads(env.AWS.S3, g)
-	st, err := bind(env, def, core.AWSLambda, flow.Mono)
-	if err != nil {
-		return nil, err
-	}
-	n := g.Node(g.Start)
-	if err := flow.RegisterTask(env.AWS.Lambda, st, n, defaultMemoryMB); err != nil {
-		return nil, err
-	}
-	return &core.Deployment{
-		Runner:     &flow.FunctionRunner{Svc: env.AWS.Lambda, Fn: n.Fn},
-		FuncCount:  g.FuncCount,
-		CodeSizeMB: g.DeployCodeSizeMB(providerName),
-	}, nil
-}
-
-func (monoLowerer) Program(def *flow.Definition) (string, error) {
-	g := def.Graphs[flow.Mono]
-	n := g.Node(g.Start)
-	return fmt.Sprintf("lambda %s memory=%dMB consumed=%dMB code=%.1fMB stage=%s\n",
-		n.Fn, n.MemoryMB(defaultMemoryMB), n.ConsumedMemMB, n.CodeSizeMB, n.Stage), nil
-}
+// s3 resolves the object store every AWS lowering binds to.
+func s3(env *core.Env) *blob.Store { return env.AWS.S3 }
 
 // --- Machine: Step Functions state machine (AWS-Step) ---
 
 type machineLowerer struct{}
 
-func (machineLowerer) Impl() core.Impl   { return core.AWSStep }
-func (machineLowerer) Class() flow.Class { return flow.Machine }
-func (machineLowerer) Variant() string   { return "" }
+func (machineLowerer) Impl() core.Impl                { return core.AWSStep }
+func (machineLowerer) Class() flow.Class              { return flow.Machine }
+func (machineLowerer) Variant() string                { return "" }
+func (machineLowerer) Provider() string               { return providerName }
+func (machineLowerer) Blob(env *core.Env) *blob.Store { return s3(env) }
 
 // Caps: SFN's 256 KB inter-state payload limit and Lambda's 900 s
 // execution ceiling — the two AWS numbers the paper measures against.
 func (machineLowerer) Caps() flow.Caps {
-	return flow.Caps{PayloadBytes: 256 * 1024, MaxTaskSeconds: 900}
+	return flow.Caps{PayloadBytes: 256 * 1024, MaxTaskSeconds: maxTaskSeconds}
 }
 
-func (machineLowerer) Lower(env *core.Env, def *flow.Definition) (*core.Deployment, error) {
-	g := def.Graphs[flow.Machine]
-	flow.ApplyPreloads(env.AWS.S3, g)
-	st, err := bind(env, def, core.AWSStep, flow.Machine)
-	if err != nil {
-		return nil, err
-	}
-	// Register the graph's Lambdas in node order (map iterators and
-	// parallel branches inline where their parent appears).
-	if err := registerGraph(env, st, g); err != nil {
-		return nil, err
-	}
+func (machineLowerer) Lower(env *core.Env, def *flow.Definition, g *flow.Graph, st *flow.Stages) (core.Runner, error) {
 	machine, err := buildASL(g)
 	if err != nil {
+		return nil, err
+	}
+	if err := flow.RegisterMachineTasks(env.AWS.Lambda, st, g, defaultMemoryMB); err != nil {
 		return nil, err
 	}
 	name := def.MachineNameFor(g, providerName)
 	if err := env.AWS.SFN.CreateStateMachine(name, machine); err != nil {
 		return nil, err
 	}
-	return &core.Deployment{
-		Runner:     &stepRunner{env: env, machine: name, entry: def.EntryMap},
-		FuncCount:  g.FuncCount,
-		CodeSizeMB: g.DeployCodeSizeMB(providerName),
-	}, nil
+	return &stepRunner{env: env, machine: name, entry: def.EntryMap}, nil
 }
 
 // Program renders the compiled state machine as ASL JSON.
@@ -130,32 +90,11 @@ func (machineLowerer) Program(def *flow.Definition) (string, error) {
 	return string(data) + "\n", nil
 }
 
-// registerGraph installs every task Lambda of a machine graph in node
-// order.
-func registerGraph(env *core.Env, st *flow.Stages, g *flow.Graph) error {
-	for _, n := range g.Nodes {
-		switch n.Kind {
-		case flow.KindTask:
-			if err := flow.RegisterTask(env.AWS.Lambda, st, n, defaultMemoryMB); err != nil {
-				return err
-			}
-		case flow.KindMap:
-			if err := flow.RegisterTask(env.AWS.Lambda, st, n.Iter, defaultMemoryMB); err != nil {
-				return err
-			}
-		case flow.KindParallel:
-			for _, b := range n.Branches {
-				if err := flow.RegisterTask(env.AWS.Lambda, st, b, defaultMemoryMB); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // buildASL compiles a machine graph to an ASL state machine.
 func buildASL(g *flow.Graph) (*sfn.StateMachine, error) {
+	if err := flow.CheckMachine(g); err != nil {
+		return nil, err
+	}
 	var retry []sfn.RetryPolicy
 	if g.RetryAttempts > 0 {
 		retry = []sfn.RetryPolicy{{ErrorEquals: []string{"States.ALL"}, MaxAttempts: g.RetryAttempts}}
@@ -258,18 +197,5 @@ func (r *stepRunner) Invoke(p *sim.Proc, _ []byte) (core.RunStats, error) {
 	if err != nil {
 		return core.RunStats{}, err
 	}
-	var out []byte
-	if exec.Err == nil {
-		out, _ = json.Marshal(exec.Output)
-	}
-	cold := exec.FirstTaskDelay
-	if cold < 0 {
-		cold = 0
-	}
-	return core.RunStats{
-		E2E:       exec.Duration(),
-		ColdStart: cold,
-		Output:    out,
-		Err:       exec.Err,
-	}, nil
+	return flow.ExecStats(exec.Duration(), exec.FirstTaskDelay, exec.Output, exec.Err), nil
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"statebench/internal/azure/functions"
+	"statebench/internal/cloud/blob"
 	"statebench/internal/cloud/queue"
 	"statebench/internal/core"
 	"statebench/internal/flow"
@@ -31,31 +32,29 @@ const (
 )
 
 func init() {
-	flow.RegisterLowerer(monoLowerer{})
+	flow.RegisterLowerer(flow.MonoLowerer{
+		Style:          core.AzFunc,
+		ProviderName:   providerName,
+		MaxTaskSeconds: maxTaskSeconds,
+		Store:          azBlob,
+		Register:       registerFunc,
+		Line: func(n *flow.Node) string {
+			return fmt.Sprintf("function %s consumed=%dMB stage=%s (http)", n.Fn, n.ConsumedMemMB, n.Stage)
+		},
+	})
 	flow.RegisterLowerer(queueLowerer{})
 	flow.RegisterLowerer(NewDurableLowerer(core.AzDorch, flow.DurableOrch, "", providerName, ClassicTarget))
 	flow.RegisterLowerer(NewDurableLowerer(core.AzDent, flow.DurableEnt, "", providerName, ClassicTarget))
 }
 
+// azBlob resolves the object store the Mono and Queue lowerings bind to.
+func azBlob(env *core.Env) *blob.Store { return env.Azure.Blob }
+
 // --- Mono: single HTTP-triggered function (Az-Func) ---
 
-type monoLowerer struct{}
-
-func (monoLowerer) Impl() core.Impl   { return core.AzFunc }
-func (monoLowerer) Class() flow.Class { return flow.Mono }
-func (monoLowerer) Variant() string   { return "" }
-func (monoLowerer) Caps() flow.Caps   { return flow.Caps{MaxTaskSeconds: maxTaskSeconds} }
-
-func (monoLowerer) Lower(env *core.Env, def *flow.Definition) (*core.Deployment, error) {
-	g := def.Graphs[flow.Mono]
-	flow.ApplyPreloads(env.Azure.Blob, g)
-	st, err := def.Bind(flow.Binding{
-		Env: env, Blob: env.Azure.Blob, Impl: core.AzFunc, Provider: providerName, Class: flow.Mono,
-	})
-	if err != nil {
-		return nil, err
-	}
-	n := g.Node(g.Start)
+// registerFunc installs the monolith as one HTTP-triggered function on
+// the instance-pool host.
+func registerFunc(env *core.Env, st *flow.Stages, n *flow.Node) (core.Runner, error) {
 	stage, err := st.Task(n.Stage)
 	if err != nil {
 		return nil, err
@@ -69,17 +68,7 @@ func (monoLowerer) Lower(env *core.Env, def *flow.Definition) (*core.Deployment,
 	}); err != nil {
 		return nil, err
 	}
-	return &core.Deployment{
-		Runner:     &azFuncRunner{env: env, fn: n.Fn},
-		FuncCount:  g.FuncCount,
-		CodeSizeMB: g.DeployCodeSizeMB(providerName),
-	}, nil
-}
-
-func (monoLowerer) Program(def *flow.Definition) (string, error) {
-	g := def.Graphs[flow.Mono]
-	n := g.Node(g.Start)
-	return fmt.Sprintf("function %s consumed=%dMB stage=%s (http)\n", n.Fn, n.ConsumedMemMB, n.Stage), nil
+	return &azFuncRunner{env: env, fn: n.Fn}, nil
 }
 
 // azFuncRunner drives one HTTP-triggered Azure function.
@@ -112,9 +101,11 @@ func (r *azFuncRunner) Invoke(p *sim.Proc, _ []byte) (core.RunStats, error) {
 
 type queueLowerer struct{}
 
-func (queueLowerer) Impl() core.Impl   { return core.AzQueue }
-func (queueLowerer) Class() flow.Class { return flow.Queue }
-func (queueLowerer) Variant() string   { return "" }
+func (queueLowerer) Impl() core.Impl                { return core.AzQueue }
+func (queueLowerer) Class() flow.Class              { return flow.Queue }
+func (queueLowerer) Variant() string                { return "" }
+func (queueLowerer) Provider() string               { return providerName }
+func (queueLowerer) Blob(env *core.Env) *blob.Store { return azBlob(env) }
 func (queueLowerer) Caps() flow.Caps {
 	return flow.Caps{PayloadBytes: payloadCapBytes, MaxTaskSeconds: maxTaskSeconds}
 }
@@ -135,15 +126,7 @@ func chainOf(g *flow.Graph) ([]*flow.Node, error) {
 	return chain, nil
 }
 
-func (queueLowerer) Lower(env *core.Env, def *flow.Definition) (*core.Deployment, error) {
-	g := def.Graphs[flow.Queue]
-	flow.ApplyPreloads(env.Azure.Blob, g)
-	st, err := def.Bind(flow.Binding{
-		Env: env, Blob: env.Azure.Blob, Impl: core.AzQueue, Provider: providerName, Class: flow.Queue,
-	})
-	if err != nil {
-		return nil, err
-	}
+func (queueLowerer) Lower(env *core.Env, def *flow.Definition, g *flow.Graph, st *flow.Stages) (core.Runner, error) {
 	chain, err := chainOf(g)
 	if err != nil {
 		return nil, err
@@ -182,11 +165,7 @@ func (queueLowerer) Lower(env *core.Env, def *flow.Definition) (*core.Deployment
 			}
 		}
 	}
-	return &core.Deployment{
-		Runner:     d,
-		FuncCount:  g.FuncCount,
-		CodeSizeMB: g.DeployCodeSizeMB(providerName),
-	}, nil
+	return d, nil
 }
 
 func (queueLowerer) Program(def *flow.Definition) (string, error) {

@@ -47,23 +47,17 @@ func NewDurableLowerer(impl core.Impl, class flow.Class, variant, provider strin
 	return &durableLowerer{impl: impl, class: class, variant: variant, provider: provider, target: target}
 }
 
-func (l *durableLowerer) Impl() core.Impl   { return l.impl }
-func (l *durableLowerer) Class() flow.Class { return l.class }
-func (l *durableLowerer) Variant() string   { return l.variant }
+func (l *durableLowerer) Impl() core.Impl                { return l.impl }
+func (l *durableLowerer) Class() flow.Class              { return l.class }
+func (l *durableLowerer) Variant() string                { return l.variant }
+func (l *durableLowerer) Provider() string               { return l.provider }
+func (l *durableLowerer) Blob(env *core.Env) *blob.Store { return l.target(env).Blob }
 func (l *durableLowerer) Caps() flow.Caps {
 	return flow.Caps{PayloadBytes: payloadCapBytes, MaxTaskSeconds: maxTaskSeconds}
 }
 
-func (l *durableLowerer) Lower(env *core.Env, def *flow.Definition) (*core.Deployment, error) {
-	g := def.Graphs[l.class]
+func (l *durableLowerer) Lower(env *core.Env, def *flow.Definition, g *flow.Graph, st *flow.Stages) (core.Runner, error) {
 	tgt := l.target(env)
-	flow.ApplyPreloads(tgt.Blob, g)
-	st, err := def.Bind(flow.Binding{
-		Env: env, Blob: tgt.Blob, Impl: l.impl, Provider: l.provider, Class: l.class, Variant: l.variant,
-	})
-	if err != nil {
-		return nil, err
-	}
 	rs := &flow.RunState{}
 	if def.FinishScratchKey != "" {
 		env.Scratch[def.FinishScratchKey] = &rs.Finishes
@@ -80,22 +74,23 @@ func (l *durableLowerer) Lower(env *core.Env, def *flow.Definition) (*core.Deplo
 		}
 	}
 	orch := def.MachineNameFor(g, l.provider)
-	if err := tgt.Hub.RegisterOrchestrator(orch, g.OrchConsumedMemMB, func(ctx *durable.OrchestrationContext, input []byte) ([]byte, error) {
-		return runGraph(ctx, g, st, input)
-	}); err != nil {
+	if err := tgt.Hub.RegisterOrchestrator(orch, g.OrchConsumedMemMB, orchestrator(g, st)); err != nil {
 		return nil, err
 	}
-	class := l.class
-	return &core.Deployment{
-		Runner: &durableRunner{
-			client: tgt.Client,
-			orch:   orch,
-			entry:  func(run int64) []byte { return def.Entry(class, run) },
-			rs:     rs,
-		},
-		FuncCount:  g.FuncCount,
-		CodeSizeMB: g.DeployCodeSizeMB(l.provider),
+	return &durableRunner{
+		client: tgt.Client,
+		orch:   orch,
+		entry:  func(run int64) []byte { return def.Entry(l.class, run) },
+		rs:     rs,
 	}, nil
+}
+
+// orchestrator is the orchestrator function of a durable graph: the
+// shared flow interpreter walking g against the orchestration context.
+func orchestrator(g *flow.Graph, st *flow.Stages) durable.OrchestratorFn {
+	return func(ctx *durable.OrchestrationContext, input []byte) ([]byte, error) {
+		return flow.Run(orchExec{ctx}, g, st, input)
+	}
 }
 
 // registerEntity installs one declared durable entity: declared ops
@@ -168,9 +163,7 @@ func (l *durableLowerer) registerWork(tgt DurableTarget, st *flow.Stages, def *f
 				return err
 			}
 		}
-		return tgt.Hub.RegisterOrchestrator(sub.MachineName, sub.OrchConsumedMemMB, func(ctx *durable.OrchestrationContext, input []byte) ([]byte, error) {
-			return runGraph(ctx, sub, st, input)
-		})
+		return tgt.Hub.RegisterOrchestrator(sub.MachineName, sub.OrchConsumedMemMB, orchestrator(sub, st))
 	}
 	return nil
 }
@@ -232,103 +225,36 @@ type actCtx struct {
 // FlowRunState exposes the RunState to flow.RunStateOf.
 func (c *actCtx) FlowRunState() *flow.RunState { return c.rs }
 
-// issueTask starts one task-shaped node (activity, entity op, or
-// sub-orchestrator) without awaiting it.
-func issueTask(ctx *durable.OrchestrationContext, n *flow.Node, input []byte) *durable.Task {
+// orchExec is the flow.Executor of a Durable orchestrator: a task is an
+// activity, entity operation or sub-orchestrator, a fan-out issues
+// every task before awaiting them together, and a wait is a durable
+// timer. Replay determinism rests on this issue order.
+type orchExec struct{ ctx *durable.OrchestrationContext }
+
+// issue starts one task-shaped node without awaiting it.
+func (x orchExec) issue(n *flow.Node, input []byte) *durable.Task {
 	switch {
 	case n.Kind == flow.KindSub:
-		return ctx.CallSubOrchestrator(n.SubGraph.MachineName, input)
+		return x.ctx.CallSubOrchestrator(n.SubGraph.MachineName, input)
 	case n.Entity != "":
-		return ctx.CallEntity(durable.EntityID{Name: n.Entity, Key: n.EntityKey}, n.Op, input)
+		return x.ctx.CallEntity(durable.EntityID{Name: n.Entity, Key: n.EntityKey}, n.Op, input)
 	}
-	return ctx.CallActivity(n.Fn, input)
+	return x.ctx.CallActivity(n.Fn, input)
 }
 
-// runGraph interprets a durable graph inside an orchestrator: the same
-// deterministic walk every durable workload hand-coded before the IR.
-func runGraph(ctx *durable.OrchestrationContext, g *flow.Graph, st *flow.Stages, entry []byte) ([]byte, error) {
-	cur := entry
-	for name := g.Start; name != ""; {
-		n := g.Node(name)
-		in := flow.InputFor(n, cur, entry)
-		switch n.Kind {
-		case flow.KindTask, flow.KindSub:
-			if n.Pure {
-				stage, err := st.Task(n.Stage)
-				if err != nil {
-					return nil, err
-				}
-				out, err := stage(nil, in)
-				if err != nil {
-					return nil, err
-				}
-				cur = out
-				break
-			}
-			out, err := issueTask(ctx, n, in).Await()
-			if err != nil {
-				return nil, err
-			}
-			cur = out
-		case flow.KindMap:
-			items, err := flow.Items(n, st, in)
-			if err != nil {
-				return nil, err
-			}
-			if len(items) > flow.MaxFanOut {
-				return nil, fmt.Errorf("flow: %s: fan-out %d exceeds limit %d", n.Name, len(items), flow.MaxFanOut)
-			}
-			outs := make([][]byte, len(items))
-			if n.Serial {
-				for i, it := range items {
-					out, err := issueTask(ctx, n.Iter, it).Await()
-					if err != nil {
-						return nil, err
-					}
-					outs[i] = out
-				}
-			} else {
-				tasks := make([]*durable.Task, len(items))
-				for i, it := range items {
-					tasks[i] = issueTask(ctx, n.Iter, it)
-				}
-				outs, err = ctx.WaitAll(tasks...)
-				if err != nil {
-					return nil, err
-				}
-			}
-			cur, err = flow.JoinOutputs(n, outs, cur)
-			if err != nil {
-				return nil, err
-			}
-		case flow.KindParallel:
-			tasks := make([]*durable.Task, len(n.Branches))
-			for i, b := range n.Branches {
-				tasks[i] = issueTask(ctx, b, flow.InputFor(b, cur, entry))
-			}
-			outs, err := ctx.WaitAll(tasks...)
-			if err != nil {
-				return nil, err
-			}
-			cur, err = flow.JoinOutputs(n, outs, cur)
-			if err != nil {
-				return nil, err
-			}
-		case flow.KindChoice:
-			next, err := flow.EvalChoice(n, in)
-			if err != nil {
-				return nil, err
-			}
-			name = next
-			continue
-		case flow.KindWait:
-			if _, err := ctx.CreateTimer(time.Duration(n.WaitSeconds * float64(time.Second))).Await(); err != nil {
-				return nil, err
-			}
-		}
-		name = n.Next
+func (x orchExec) Call(n *flow.Node, input []byte) ([]byte, error) { return x.issue(n, input).Await() }
+
+func (x orchExec) CallAll(nodes []*flow.Node, inputs [][]byte) ([][]byte, error) {
+	tasks := make([]*durable.Task, len(nodes))
+	for i, n := range nodes {
+		tasks[i] = x.issue(n, inputs[i])
 	}
-	return cur, nil
+	return x.ctx.WaitAll(tasks...)
+}
+
+func (x orchExec) Sleep(d time.Duration) error {
+	_, err := x.ctx.CreateTimer(d).Await()
+	return err
 }
 
 // durableRunner starts one orchestration per run and reads the paper's

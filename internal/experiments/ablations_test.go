@@ -59,7 +59,7 @@ func TestAblationMapConcurrency(t *testing.T) {
 }
 
 func TestRegistryWithAblations(t *testing.T) {
-	if len(RegistryWithAblations()) != 24 {
+	if len(RegistryWithAblations()) != 23 {
 		t.Fatalf("size = %d", len(RegistryWithAblations()))
 	}
 	if _, err := Find("ablation-memory"); err != nil {
@@ -73,19 +73,5 @@ func TestRegistryWithAblations(t *testing.T) {
 	}
 	if _, err := Find("netherite"); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAblationNetherite(t *testing.T) {
-	o := tiny()
-	r, err := AblationNetherite(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Table.Rows) != 2 {
-		t.Fatalf("rows = %d", len(r.Table.Rows))
-	}
-	if r.Table.Rows[0][0] == r.Table.Rows[1][0] {
-		t.Fatal("duplicate rows")
 	}
 }

@@ -40,6 +40,31 @@ func RegisterTask(svc *platform.FaaS, st *Stages, n *Node, defaultMemMB int) err
 	return err
 }
 
+// RegisterMachineTasks installs every function task of a Machine graph
+// on svc in node order, map iterators and parallel branches where their
+// parent appears. Pure transforms run in the orchestrator and register
+// nothing.
+func RegisterMachineTasks(svc *platform.FaaS, st *Stages, g *Graph, defaultMemMB int) error {
+	for _, n := range allNodes(g) {
+		if n.Kind != KindTask || n.Pure {
+			continue
+		}
+		if err := RegisterTask(svc, st, n, defaultMemMB); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// DeployFunction installs a Mono graph's one task node on svc and
+// returns the runner that invokes it.
+func DeployFunction(svc *platform.FaaS, st *Stages, n *Node, defaultMemMB int) (core.Runner, error) {
+	if err := RegisterTask(svc, st, n, defaultMemMB); err != nil {
+		return nil, err
+	}
+	return &FunctionRunner{Svc: svc, Fn: n.Fn}, nil
+}
+
 // FunctionRunner runs a Mono deployment: one synchronous invoke of a
 // single function.
 type FunctionRunner struct {

@@ -581,8 +581,8 @@ func EvalChoice(n *Node, payload []byte) (string, error) {
 	return n.Default, nil
 }
 
-// ApplyPreloads stages a graph's blob objects.
-func ApplyPreloads(store *blob.Store, g *Graph) {
+// applyPreloads stages a graph's blob objects.
+func applyPreloads(store *blob.Store, g *Graph) {
 	for _, p := range g.Preloads {
 		if p.Shared {
 			store.PreloadShared(p.Key, p.Data)

@@ -3,6 +3,7 @@ package flow
 import (
 	"fmt"
 
+	"statebench/internal/cloud/blob"
 	"statebench/internal/core"
 )
 
@@ -33,9 +34,15 @@ type Lowerer interface {
 	Variant() string
 	// Caps reports the provider limits the lowering is subject to.
 	Caps() Caps
-	// Lower compiles the definition's graph for this class into a
-	// deployed workflow on env.
-	Lower(env *core.Env, def *Definition) (*core.Deployment, error)
+	// Provider is the registered provider display name the lowering
+	// deploys for ("AWS", "Azure", "GCP", "Netherite").
+	Provider() string
+	// Blob resolves the object store on env that the graph's preloads
+	// land in and its stages are bound to.
+	Blob(env *core.Env) *blob.Store
+	// Lower installs graph g of def, whose stages st are already bound,
+	// on env and returns the runner that executes one run.
+	Lower(env *core.Env, def *Definition, g *Graph, st *Stages) (core.Runner, error)
 	// Program renders the compiled orchestration artifact as text (ASL
 	// JSON, a Workflows program, a registration plan) without an Env.
 	// It must be deterministic: same definition, same bytes.
@@ -150,16 +157,52 @@ func ExcludeReason(def *Definition, impl core.Impl) string {
 
 // Deploy lowers a definition to one style, dispatching through the
 // lowerer registry. It is the single Deploy body every IR-defined
-// workload shares.
+// workload shares: it stages the graph's preloads, binds the stages,
+// lets the lowerer install the graph, and stamps the Table II metadata.
 func Deploy(env *core.Env, def *Definition, impl core.Impl) (*core.Deployment, error) {
 	l, ok := lowererRegistry[impl]
 	if !ok {
 		return nil, &core.UnsupportedImplError{Workflow: def.Name, Impl: impl}
 	}
-	if graphFor(def, l) == nil {
+	g := graphFor(def, l)
+	if g == nil {
 		return nil, &core.UnsupportedImplError{Workflow: def.Name, Impl: impl}
 	}
-	return l.Lower(env, def)
+	store := l.Blob(env)
+	applyPreloads(store, g)
+	st, err := def.Bind(Binding{
+		Env: env, Blob: store, Impl: impl, Provider: l.Provider(), Class: l.Class(), Variant: l.Variant(),
+	})
+	if err != nil {
+		return nil, err
+	}
+	runner, err := l.Lower(env, def, g, st)
+	if err != nil {
+		return nil, err
+	}
+	return &core.Deployment{
+		Runner:     runner,
+		FuncCount:  g.FuncCount,
+		CodeSizeMB: g.DeployCodeSizeMB(l.Provider()),
+	}, nil
+}
+
+// CheckMachine rejects a Machine graph that a managed state machine
+// (SFN, GCP Workflows) cannot run: one with a sub-workflow or a durable
+// entity call at the top level, as a map iterator or as a parallel
+// branch. Only Durable orchestrators have those, so both Machine
+// lowerers call this from Lower and Program and fail at deploy time,
+// not on every run.
+func CheckMachine(g *Graph) error {
+	for _, n := range allNodes(g) {
+		switch {
+		case n.Kind == KindSub:
+			return fmt.Errorf("flow: %s: sub-workflow node has no state-machine lowering", n.Name)
+		case n.Entity != "":
+			return fmt.Errorf("flow: %s: entity call has no state-machine lowering", n.Name)
+		}
+	}
+	return nil
 }
 
 // Extras derives a workload's ExtraImpls: every registered style the

@@ -3,8 +3,8 @@
 // becomes per-step Cloud Functions driven by a GCP Workflows program
 // interpreting the graph. Where awsflow compiles the Machine graph to
 // an ASL document, the Workflows backend takes an executable
-// definition, so the compiled artifact here is a deterministic
-// interpreter closed over the graph.
+// definition, so the compiled artifact here is the shared flow.Run
+// interpreter closed over the graph, calling through the Workflows Ctx.
 package gcpflow
 
 import (
@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"time"
 
+	"statebench/internal/cloud/blob"
 	"statebench/internal/core"
 	"statebench/internal/flow"
 	"statebench/internal/gcp"
@@ -33,87 +34,59 @@ const (
 )
 
 func init() {
-	flow.RegisterLowerer(monoLowerer{})
+	flow.RegisterLowerer(flow.MonoLowerer{
+		Style:          gcp.Func,
+		ProviderName:   providerName,
+		MaxTaskSeconds: maxTaskSeconds,
+		Store:          gcs,
+		Register: func(env *core.Env, st *flow.Stages, n *flow.Node) (core.Runner, error) {
+			return flow.DeployFunction(gcp.FromEnv(env).Functions, st, n, defaultMemoryMB)
+		},
+		Line: func(n *flow.Node) string {
+			return fmt.Sprintf("function %s memory=%dMB consumed=%dMB code=%.1fMB stage=%s",
+				n.Fn, n.MemoryMB(defaultMemoryMB), n.ConsumedMemMB, n.CodeSizeMB, n.Stage)
+		},
+	})
 	flow.RegisterLowerer(wflowLowerer{})
 }
 
-// --- Mono: single Cloud Function (GCP-Func) ---
-
-type monoLowerer struct{}
-
-func (monoLowerer) Impl() core.Impl   { return gcp.Func }
-func (monoLowerer) Class() flow.Class { return flow.Mono }
-func (monoLowerer) Variant() string   { return "" }
-func (monoLowerer) Caps() flow.Caps   { return flow.Caps{MaxTaskSeconds: maxTaskSeconds} }
-
-func (monoLowerer) Lower(env *core.Env, def *flow.Definition) (*core.Deployment, error) {
-	gc := gcp.FromEnv(env)
-	g := def.Graphs[flow.Mono]
-	flow.ApplyPreloads(gc.GCS, g)
-	st, err := def.Bind(flow.Binding{
-		Env: env, Blob: gc.GCS, Impl: gcp.Func, Provider: providerName, Class: flow.Mono,
-	})
-	if err != nil {
-		return nil, err
-	}
-	n := g.Node(g.Start)
-	if err := flow.RegisterTask(gc.Functions, st, n, defaultMemoryMB); err != nil {
-		return nil, err
-	}
-	return &core.Deployment{
-		Runner:     &flow.FunctionRunner{Svc: gc.Functions, Fn: n.Fn},
-		FuncCount:  g.FuncCount,
-		CodeSizeMB: g.DeployCodeSizeMB(providerName),
-	}, nil
-}
-
-func (monoLowerer) Program(def *flow.Definition) (string, error) {
-	g := def.Graphs[flow.Mono]
-	n := g.Node(g.Start)
-	return fmt.Sprintf("function %s memory=%dMB consumed=%dMB code=%.1fMB stage=%s\n",
-		n.Fn, n.MemoryMB(defaultMemoryMB), n.ConsumedMemMB, n.CodeSizeMB, n.Stage), nil
-}
+// gcs resolves the object store every GCP lowering binds to.
+func gcs(env *core.Env) *blob.Store { return gcp.FromEnv(env).GCS }
 
 // --- Machine: GCP Workflows program (GCP-Wflow) ---
 
 type wflowLowerer struct{}
 
-func (wflowLowerer) Impl() core.Impl   { return gcp.Wflow }
-func (wflowLowerer) Class() flow.Class { return flow.Machine }
-func (wflowLowerer) Variant() string   { return "" }
+func (wflowLowerer) Impl() core.Impl                { return gcp.Wflow }
+func (wflowLowerer) Class() flow.Class              { return flow.Machine }
+func (wflowLowerer) Variant() string                { return "" }
+func (wflowLowerer) Provider() string               { return providerName }
+func (wflowLowerer) Blob(env *core.Env) *blob.Store { return gcs(env) }
 func (wflowLowerer) Caps() flow.Caps {
 	return flow.Caps{PayloadBytes: payloadCapBytes, MaxTaskSeconds: maxTaskSeconds}
 }
 
-func (wflowLowerer) Lower(env *core.Env, def *flow.Definition) (*core.Deployment, error) {
-	gc := gcp.FromEnv(env)
-	g := def.Graphs[flow.Machine]
-	flow.ApplyPreloads(gc.GCS, g)
-	st, err := def.Bind(flow.Binding{
-		Env: env, Blob: gc.GCS, Impl: gcp.Wflow, Provider: providerName, Class: flow.Machine,
-	})
-	if err != nil {
+func (wflowLowerer) Lower(env *core.Env, def *flow.Definition, g *flow.Graph, st *flow.Stages) (core.Runner, error) {
+	if err := flow.CheckMachine(g); err != nil {
 		return nil, err
 	}
-	for _, n := range g.Nodes {
-		if err := registerNodes(gc, st, n); err != nil {
-			return nil, err
-		}
+	gc := gcp.FromEnv(env)
+	if err := flow.RegisterMachineTasks(gc.Functions, st, g, defaultMemoryMB); err != nil {
+		return nil, err
 	}
 	name := def.MachineNameFor(g, providerName)
 	if err := gc.Workflows.Create(name, wfDefinition(def, g, st)); err != nil {
 		return nil, err
 	}
-	return &core.Deployment{
-		Runner:     &gwfRunner{gc: gc, wf: name, entry: def.EntryMap},
-		FuncCount:  g.FuncCount,
-		CodeSizeMB: g.DeployCodeSizeMB(providerName),
-	}, nil
+	return &gwfRunner{gc: gc, wf: name, entry: def.EntryMap}, nil
 }
 
 // Program renders the deterministic step plan of the Workflows program.
 func (wflowLowerer) Program(def *flow.Definition) (string, error) {
 	g := def.Graphs[flow.Machine]
+	if err := flow.CheckMachine(g); err != nil {
+		return "", err
+	}
 	out := fmt.Sprintf("workflow %s\n", def.MachineNameFor(g, providerName))
 	for _, n := range g.Nodes {
 		out += programStep(n, "  ")
@@ -141,140 +114,52 @@ func programStep(n *flow.Node, indent string) string {
 	return fmt.Sprintf("%sstep %s: %s\n", indent, n.Name, n.Kind)
 }
 
-// registerNodes installs the Cloud Functions a node needs, in node
-// order.
-func registerNodes(gc *gcp.Cloud, st *flow.Stages, n *flow.Node) error {
-	switch n.Kind {
-	case flow.KindTask:
-		if n.Pure {
-			return nil
-		}
-		return flow.RegisterTask(gc.Functions, st, n, defaultMemoryMB)
-	case flow.KindMap:
-		return registerNodes(gc, st, n.Iter)
-	case flow.KindParallel:
-		for _, b := range n.Branches {
-			if err := registerNodes(gc, st, b); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// wfDefinition builds the Workflows program: a deterministic
-// interpretation of the machine graph against the Workflows Ctx.
+// wfDefinition builds the Workflows program: the shared flow
+// interpreter walking the machine graph against the Workflows Ctx.
 func wfDefinition(def *flow.Definition, g *flow.Graph, st *flow.Stages) gcp.Definition {
 	return func(ctx *gcp.Ctx, input map[string]any) (map[string]any, error) {
 		run, _ := input["run"].(float64)
-		entry := def.Entry(flow.Machine, int64(run))
-		cur := entry
-		for name := g.Start; name != ""; {
-			n := g.Node(name)
-			in := flow.InputFor(n, cur, entry)
-			switch n.Kind {
-			case flow.KindTask:
-				if n.Pure {
-					stage, err := st.Task(n.Stage)
-					if err != nil {
-						return nil, err
-					}
-					out, err := stage(nil, in)
-					if err != nil {
-						return nil, err
-					}
-					cur = out
-					break
-				}
-				out, err := ctx.Call(n.Fn, in)
-				if err != nil {
-					return nil, err
-				}
-				cur = out
-			case flow.KindMap:
-				items, err := flow.Items(n, st, in)
-				if err != nil {
-					return nil, err
-				}
-				if len(items) > flow.MaxFanOut {
-					return nil, fmt.Errorf("flow: %s: fan-out %d exceeds limit %d", n.Name, len(items), flow.MaxFanOut)
-				}
-				outs := make([][]byte, len(items))
-				if n.Serial {
-					for i, it := range items {
-						out, err := ctx.Call(n.Iter.Fn, it)
-						if err != nil {
-							return nil, err
-						}
-						outs[i] = out
-					}
-				} else {
-					branches := make([]func(bc *gcp.Ctx) error, len(items))
-					for i, it := range items {
-						i, it := i, it
-						branches[i] = func(bc *gcp.Ctx) error {
-							bout, berr := bc.Call(n.Iter.Fn, it)
-							if berr != nil {
-								return berr
-							}
-							outs[i] = bout
-							return nil
-						}
-					}
-					if err := ctx.Parallel(branches...); err != nil {
-						return nil, err
-					}
-				}
-				cur, err = flow.JoinOutputs(n, outs, cur)
-				if err != nil {
-					return nil, err
-				}
-			case flow.KindParallel:
-				outs := make([][]byte, len(n.Branches))
-				branches := make([]func(bc *gcp.Ctx) error, len(n.Branches))
-				for i, b := range n.Branches {
-					i, b := i, b
-					bin := flow.InputFor(b, cur, entry)
-					branches[i] = func(bc *gcp.Ctx) error {
-						bout, berr := bc.Call(b.Fn, bin)
-						if berr != nil {
-							return berr
-						}
-						outs[i] = bout
-						return nil
-					}
-				}
-				if err := ctx.Parallel(branches...); err != nil {
-					return nil, err
-				}
-				var err error
-				cur, err = flow.JoinOutputs(n, outs, cur)
-				if err != nil {
-					return nil, err
-				}
-			case flow.KindChoice:
-				next, err := flow.EvalChoice(n, in)
-				if err != nil {
-					return nil, err
-				}
-				name = next
-				continue
-			case flow.KindWait:
-				ctx.Proc().Sleep(time.Duration(n.WaitSeconds * float64(time.Second)))
-			default:
-				return nil, fmt.Errorf("gcpflow: node %q: kind %s has no Workflows lowering", n.Name, n.Kind)
-			}
-			name = n.Next
+		last, err := flow.Run(wfExec{ctx}, g, st, def.Entry(flow.Machine, int64(run)))
+		if err != nil {
+			return nil, err
 		}
 		if def.Finish != nil {
-			return def.Finish(cur)
+			return def.Finish(last)
 		}
 		var res map[string]any
-		if err := json.Unmarshal(cur, &res); err != nil {
+		if err := json.Unmarshal(last, &res); err != nil {
 			return nil, err
 		}
 		return res, nil
 	}
+}
+
+// wfExec is the flow.Executor of a Workflows program: every task is a
+// Cloud Function call, fan-outs are a parallel block, and waits sleep
+// the execution.
+type wfExec struct{ ctx *gcp.Ctx }
+
+func (x wfExec) Call(n *flow.Node, input []byte) ([]byte, error) { return x.ctx.Call(n.Fn, input) }
+
+func (x wfExec) CallAll(nodes []*flow.Node, inputs [][]byte) ([][]byte, error) {
+	outs := make([][]byte, len(nodes))
+	branches := make([]func(bc *gcp.Ctx) error, len(nodes))
+	for i, n := range nodes {
+		branches[i] = func(bc *gcp.Ctx) error {
+			out, err := bc.Call(n.Fn, inputs[i])
+			outs[i] = out
+			return err
+		}
+	}
+	if err := x.ctx.Parallel(branches...); err != nil {
+		return nil, err
+	}
+	return outs, nil
+}
+
+func (x wfExec) Sleep(d time.Duration) error {
+	x.ctx.Proc().Sleep(d)
+	return nil
 }
 
 // gwfRunner executes a Workflows program per run.
@@ -292,18 +177,5 @@ func (r *gwfRunner) Invoke(p *sim.Proc, _ []byte) (core.RunStats, error) {
 	if err != nil {
 		return core.RunStats{}, err
 	}
-	var out []byte
-	if exec.Err == nil {
-		out, _ = json.Marshal(exec.Output)
-	}
-	cold := exec.FirstCallDelay
-	if cold < 0 {
-		cold = 0
-	}
-	return core.RunStats{
-		E2E:       exec.Duration(),
-		ColdStart: cold,
-		Output:    out,
-		Err:       exec.Err,
-	}, nil
+	return flow.ExecStats(exec.Duration(), exec.FirstCallDelay, exec.Output, exec.Err), nil
 }
