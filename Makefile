@@ -2,7 +2,8 @@
 #
 # tier1    — the gate every change must keep green: gofmt, vet,
 #            build, and the full unit suite (including the quick-scale
-#            output goldens).
+#            output goldens), then vet and test the benchmark module
+#            (its workloads' digests and the package→layer map).
 # tier1.5  — adds static analysis and the race detector; the
 #            determinism test self-downscales under -race.
 # tier2    — tier1.5 plus the observability/chaos determinism gates,
@@ -37,6 +38,8 @@ fmt-check:
 tier1: fmt-check
 	$(GO) vet ./...
 	$(GO) build ./... && $(GO) test ./...
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
 
 # golden replays the full paper-scale campaign and compares it byte for
 # byte against testdata/golden (quick-scale goldens run in plain tier1).

@@ -30,8 +30,10 @@ type classicStore struct {
 	history   *table.Table
 	instances *table.Table
 
-	kickers []*kicker
-	wiKick  *kicker
+	// Each listener's wake signal: one per control partition, one for
+	// the work-item queue.
+	kicks  []*queue.Kick
+	wiKick *queue.Kick
 }
 
 // newClassicStore builds the storage-queue backend. Construction order
@@ -48,9 +50,9 @@ func newClassicStore(k *sim.Kernel, name string, params platform.AzureParams, ho
 	}
 	for i := 0; i < params.ControlQueuePartitions; i++ {
 		s.control = append(s.control, queue.New(k, fmt.Sprintf("%s-control-%02d", name, i), durableQueueParams(params), hooks))
-		s.kickers = append(s.kickers, newKicker(k))
+		s.kicks = append(s.kicks, queue.NewKick(k))
 	}
-	s.wiKick = newKicker(k)
+	s.wiKick = queue.NewKick(k)
 	return s
 }
 
@@ -67,25 +69,37 @@ func durableQueueParams(p platform.AzureParams) queue.Params {
 
 // Start implements Store: bind the hub and launch the polling
 // listeners. They poll with adaptive back-off — every poll is a billed
-// transaction, the idle-cost mechanism the paper highlights — and stop
-// with the host.
+// transaction, the idle-cost mechanism the paper highlights — reset it
+// on HTTP activity at the app, and stop with the host.
 func (s *classicStore) Start(h *Hub) {
 	s.h = h
+	h.host.OnHTTPActivity(s.kickAll)
 	stop := h.host.StopSignal()
-	for i := range s.control {
-		i := i
+	for i, q := range s.control {
 		s.k.Spawn(fmt.Sprintf("durable/control-%d", i), func(p *sim.Proc) {
-			s.pollLoop(p, s.control[i], s.kickers[i], stop, h.handleControlMessage)
+			q.Listen(p, s.params.DurableMaxPoll, s.kicks[i], stop, envelopes(h.handleControlMessage))
 		})
 	}
 	s.k.Spawn("durable/workitems", func(p *sim.Proc) {
-		s.pollLoop(p, s.workItems, s.wiKick, stop, h.handleWorkItem)
+		s.workItems.Listen(p, s.params.DurableMaxPoll, s.wiKick, stop, envelopes(h.handleWorkItem))
 	})
 }
 
-// Kick implements Store: reset all listener poll back-offs.
-func (s *classicStore) Kick() {
-	for _, kk := range s.kickers {
+// envelopes adapts an envelope handler to a queue listener: each
+// delivered body is decoded and handed on; an undecodable one is
+// dropped.
+func envelopes(handle func(Envelope)) func(*sim.Proc, *queue.Message) {
+	return func(_ *sim.Proc, m *queue.Message) {
+		var msg message
+		if err := json.Unmarshal(m.Body, &msg); err == nil {
+			handle(msg)
+		}
+	}
+}
+
+// kickAll resets every listener's poll back-off.
+func (s *classicStore) kickAll() {
+	for _, kk := range s.kicks {
 		kk.Kick()
 	}
 	s.wiKick.Kick()
@@ -110,7 +124,7 @@ func (s *classicStore) SendControl(m Envelope) error {
 	if err := s.control[p].EnqueueFromKernelCtx(body, m.traceCtx()); err != nil {
 		return err
 	}
-	s.kickers[p].Kick()
+	s.kicks[p].Kick()
 	return nil
 }
 
@@ -125,7 +139,7 @@ func (s *classicStore) SendControlFromProc(p *sim.Proc, m Envelope) error {
 	if err := s.control[part].Enqueue(p, body); err != nil {
 		return err
 	}
-	s.kickers[part].Kick()
+	s.kicks[part].Kick()
 	return nil
 }
 
@@ -223,34 +237,4 @@ func (s *classicStore) ResetStats() {
 	}
 	s.history.ResetStats()
 	s.instances.ResetStats()
-}
-
-// pollLoop drains q, backing off while idle, waking early on kicks.
-func (s *classicStore) pollLoop(p *sim.Proc, q *queue.Queue, kk *kicker, stop *sim.Future[struct{}], handle func(Envelope)) {
-	interval := 100 * time.Millisecond
-	maxPoll := s.params.DurableMaxPoll
-	if maxPoll <= 0 {
-		maxPoll = 30 * time.Second
-	}
-	for {
-		if stop.Done() {
-			return
-		}
-		if m, ok := q.TryDequeue(p); ok {
-			interval = 100 * time.Millisecond
-			var msg message
-			if err := json.Unmarshal(m.Body, &msg); err == nil {
-				handle(msg)
-			}
-			continue
-		}
-		if kk.Wait(p, interval) {
-			interval = 100 * time.Millisecond
-		} else {
-			interval *= 2
-			if interval > maxPoll {
-				interval = maxPoll
-			}
-		}
-	}
 }

@@ -59,10 +59,10 @@ func TestChainSurvivesHeavyRedeliveryWithoutDeadLetters(t *testing.T) {
 		t.Fatal("no redeliveries injected; the storm exercised nothing")
 	}
 	var deadLettered int64
-	for _, q := range hub.ControlQueues() {
+	for _, q := range hub.classic().control {
 		deadLettered += q.Stats().DeadLettered
 	}
-	deadLettered += hub.WorkItemQueue().Stats().DeadLettered
+	deadLettered += hub.classic().workItems.Stats().DeadLettered
 	if deadLettered != 0 || inj.Stats().DeadLetters != 0 {
 		t.Fatalf("dead-lettered = %d (injector %d), want 0: task-hub messages must redeliver forever", deadLettered, inj.Stats().DeadLetters)
 	}

@@ -90,8 +90,8 @@ func TestActivityChainOrchestration(t *testing.T) {
 		t.Fatalf("episodes = %d, want >= 4 (replay per completion)", hub.EpisodeCount)
 	}
 	// History persisted: ExecutionStarted + 3x(Scheduled+Completed) + ExecutionCompleted.
-	if hub.HistoryTable().Len() != 8 {
-		t.Fatalf("history rows = %d, want 8", hub.HistoryTable().Len())
+	if hub.classic().history.Len() != 8 {
+		t.Fatalf("history rows = %d, want 8", hub.classic().history.Len())
 	}
 }
 
@@ -371,13 +371,14 @@ func TestIdlePollingBillsTransactionsDuringTimer(t *testing.T) {
 		}
 	})
 	var emptyPolls int64
-	for _, q := range hub.ControlQueues() {
+	for _, q := range hub.classic().control {
 		emptyPolls += q.Stats().EmptyPolls
 	}
-	emptyPolls += hub.WorkItemQueue().Stats().EmptyPolls
-	// 10 min idle at 30s max poll across 5 listeners => >= ~80 polls.
-	if emptyPolls < 50 {
-		t.Fatalf("idle empty polls = %d, want >= 50", emptyPolls)
+	emptyPolls += hub.classic().workItems.Stats().EmptyPolls
+	// 10 min idle at DefaultAzure's 1 s DurableMaxPoll across 5
+	// listeners (4 control partitions + work items) => ~3000 polls.
+	if emptyPolls != 3011 {
+		t.Fatalf("idle empty polls = %d, want 3011", emptyPolls)
 	}
 }
 

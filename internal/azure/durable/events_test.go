@@ -177,7 +177,7 @@ func TestContinueAsNewResetsHistory(t *testing.T) {
 	}
 	// After completion, history holds only the LAST generation:
 	// ExecutionStarted + TaskScheduled + TaskCompleted + ExecutionCompleted.
-	if got := hub.HistoryTable().Len(); got != 4 {
+	if got := hub.classic().history.Len(); got != 4 {
 		t.Fatalf("history rows = %d, want 4 (fresh per generation)", got)
 	}
 }

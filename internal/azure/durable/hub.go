@@ -19,10 +19,8 @@ package durable
 
 import (
 	"fmt"
-	"time"
 
 	"statebench/internal/azure/functions"
-	"statebench/internal/cloud/queue"
 	"statebench/internal/cloud/table"
 	"statebench/internal/obs/instr"
 	"statebench/internal/obs/span"
@@ -191,7 +189,6 @@ func NewHubWithStore(k *sim.Kernel, host *functions.Host, name string, store Sto
 		ents:          make(map[string]*entityState),
 		hooks:         host.Hooks(),
 	}
-	host.OnHTTPActivity(h.KickAll)
 	store.Start(h)
 	return h
 }
@@ -209,20 +206,10 @@ func (h *Hub) Params() platform.AzureParams { return h.params }
 func (h *Hub) Store() Store { return h.store }
 
 // classic returns the classic store, or nil when the hub runs on a
-// different Store implementation (the table/queue accessors below are
-// classic-only surfaces kept for transaction-accounting tests).
+// different Store implementation.
 func (h *Hub) classic() *classicStore {
 	cs, _ := h.store.(*classicStore)
 	return cs
-}
-
-// HistoryTable exposes the classic store's history table (for
-// transaction accounting); nil for non-classic stores.
-func (h *Hub) HistoryTable() *table.Table {
-	if cs := h.classic(); cs != nil {
-		return cs.history
-	}
-	return nil
 }
 
 // InstancesTable exposes the classic store's instances table; nil for
@@ -234,33 +221,12 @@ func (h *Hub) InstancesTable() *table.Table {
 	return nil
 }
 
-// ControlQueues exposes the classic store's control queues (for
-// transaction accounting); nil for non-classic stores.
-func (h *Hub) ControlQueues() []*queue.Queue {
-	if cs := h.classic(); cs != nil {
-		return cs.control
-	}
-	return nil
-}
-
-// WorkItemQueue exposes the classic store's work-item queue; nil for
-// non-classic stores.
-func (h *Hub) WorkItemQueue() *queue.Queue {
-	if cs := h.classic(); cs != nil {
-		return cs.workItems
-	}
-	return nil
-}
-
 // StorageTransactions sums billable storage transactions across the
 // hub's store — the stateful cost component of Azure.
 func (h *Hub) StorageTransactions() int64 { return h.store.Transactions() }
 
 // ResetStorageStats zeroes the store's transaction counters.
 func (h *Hub) ResetStorageStats() { h.store.ResetStats() }
-
-// KickAll resets all listener poll back-offs (called on HTTP activity).
-func (h *Hub) KickAll() { h.store.Kick() }
 
 // RegisterOrchestrator adds an orchestrator function. Episodes are
 // billed as executions of a host function with the same name.
@@ -323,32 +289,3 @@ func (h *Hub) sendFromProc(p *sim.Proc, m message) error {
 
 // sendWorkItem enqueues an activity work item.
 func (h *Hub) sendWorkItem(m message) error { return h.store.SendWork(m) }
-
-// kicker lets a polling listener be woken early when a message is
-// enqueued locally, while idle polling still happens (and is billed) at
-// the adaptive interval.
-type kicker struct {
-	k   *sim.Kernel
-	fut *sim.Future[struct{}]
-}
-
-func newKicker(k *sim.Kernel) *kicker {
-	return &kicker{k: k, fut: sim.NewFuture[struct{}](k)}
-}
-
-// Kick wakes the current waiter (or makes the next wait return
-// immediately).
-func (kk *kicker) Kick() {
-	if !kk.fut.Done() {
-		kk.fut.Complete(struct{}{}, nil)
-	}
-}
-
-// Wait blocks up to d, returning true if kicked early.
-func (kk *kicker) Wait(p *sim.Proc, d time.Duration) bool {
-	_, _, kicked := kk.fut.AwaitTimeout(p, d)
-	if kicked {
-		kk.fut = sim.NewFuture[struct{}](kk.k)
-	}
-	return kicked
-}

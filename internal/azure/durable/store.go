@@ -67,9 +67,6 @@ type Store interface {
 	// listeners (the classic store's pollers). Called once from NewHub
 	// before any traffic.
 	Start(h *Hub)
-	// Kick resets listener poll back-offs on external activity; a
-	// push-based store ignores it.
-	Kick()
 
 	// SendControl enqueues a control envelope from kernel/callback
 	// context and wakes its consumer.

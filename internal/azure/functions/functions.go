@@ -228,7 +228,8 @@ func (h *Host) Function(name string) (*Function, bool) {
 // reaches the app (used by the durable extension to reset poll back-off).
 func (h *Host) OnHTTPActivity(fn func()) { h.onHTTPActivity = append(h.onHTTPActivity, fn) }
 
-// OnActivity registers a callback fired on every execution submission.
+// OnActivity registers a callback fired on every execution submission
+// (queue-trigger listeners subscribe their wake signal).
 func (h *Host) OnActivity(fn func()) { h.onActivity = append(h.onActivity, fn) }
 
 // Submit enqueues an execution of fn and returns a future for its
@@ -483,60 +484,31 @@ func (h *Host) ResetMeters() {
 }
 
 // QueueTrigger binds fn to a billed storage queue: a listener polls q
-// with adaptive back-off (every poll is a billed transaction) and
-// submits each message for execution. If the app is scaled to zero when
-// a message is found, the scale-controller activation phase
-// (ColdPollPhase) is charged before execution — the Az-Queue cold-start
-// mechanism.
+// with adaptive back-off (every poll is a billed transaction), reset
+// whenever the app shows activity, and submits each message for
+// execution. If the app is scaled to zero when a message is found, the
+// scale-controller activation phase (ColdPollPhase) is charged before
+// execution — the Az-Queue cold-start mechanism.
 func (h *Host) QueueTrigger(q *queue.Queue, fn string) error {
 	if _, ok := h.fns[fn]; !ok {
 		return fmt.Errorf("functions: no such function %q", fn)
 	}
-	kick := sim.NewFuture[struct{}](h.k)
-	h.OnActivity(func() {
-		if !kick.Done() {
-			kick.Complete(struct{}{}, nil)
-		}
-	})
-	qp := q // capture
+	kick := queue.NewKick(h.k)
+	h.OnActivity(kick.Kick)
 	h.k.Spawn(fmt.Sprintf("%s/listener/%s", h.name, q.Name()), func(p *sim.Proc) {
-		interval := 100 * time.Millisecond
-		maxPoll := h.params.TriggerMaxPoll
-		if maxPoll <= 0 {
-			maxPoll = 30 * time.Second
-		}
-		for {
-			if h.stop.Done() {
-				return
+		q.Listen(p, h.params.TriggerMaxPoll, kick, h.stop, func(p *sim.Proc, m *queue.Message) {
+			coldApp := h.pool.Provisioning() == 0 ||
+				(h.everScaled && p.Now()-h.scaledFromZeroAt < time.Minute)
+			if coldApp {
+				// Scale-from-zero listener activation (the
+				// Az-Queue cold-start mechanism, Fig 10).
+				actStart := p.Now()
+				p.Sleep(h.params.ColdPollPhase.Sample(h.rng))
+				h.hooks.Tracer.Emit(span.KindCold, "func/activation/"+fn, actStart, p.Now(), m.Ctx)
 			}
-			if m, ok := qp.TryDequeue(p); ok {
-				interval = 100 * time.Millisecond
-				coldApp := h.pool.Provisioning() == 0 ||
-					(h.everScaled && p.Now()-h.scaledFromZeroAt < time.Minute)
-				if coldApp {
-					// Scale-from-zero listener activation (the
-					// Az-Queue cold-start mechanism, Fig 10).
-					actStart := p.Now()
-					p.Sleep(h.params.ColdPollPhase.Sample(h.rng))
-					h.hooks.Tracer.Emit(span.KindCold, "func/activation/"+fn, actStart, p.Now(), m.Ctx)
-				}
-				if _, err := h.SubmitCtx(fn, m.Body, m.Ctx); err != nil {
-					continue
-				}
-				continue
-			}
-			// Back off while idle; reset when the app shows activity
-			// (listeners are scheduled eagerly on a busy app).
-			if _, _, kicked := kick.AwaitTimeout(p, interval); kicked {
-				kick = sim.NewFuture[struct{}](h.k)
-				interval = 100 * time.Millisecond
-			} else {
-				interval *= 2
-				if interval > maxPoll {
-					interval = maxPoll
-				}
-			}
-		}
+			// fn was checked above, so the submit cannot fail.
+			_, _ = h.SubmitCtx(fn, m.Body, m.Ctx)
+		})
 	})
 	return nil
 }

@@ -224,7 +224,7 @@ func TestQueueTriggerExecutesAndBillsPolls(t *testing.T) {
 		return nil, nil
 	}})
 	qp := queue.DefaultParams()
-	qp.MaxPoll = time.Second
+	qp.OpLatency = sim.Fixed{D: 5 * time.Millisecond}
 	q := queue.New(k, "trigger", qp, &instr.Hooks{})
 	if err := h.QueueTrigger(q, "f"); err != nil {
 		t.Fatal(err)
@@ -239,8 +239,15 @@ func TestQueueTriggerExecutesAndBillsPolls(t *testing.T) {
 	if string(got) != "msg" {
 		t.Fatalf("queue trigger did not run: %q", got)
 	}
-	if q.Stats().EmptyPolls < 3 {
-		t.Fatalf("empty polls = %d; idle polling must be metered", q.Stats().EmptyPolls)
+	// Each poll takes 5 ms. Empty polls end at 0.005, 0.11, 0.315,
+	// 0.72, 1.525 and 3.13 s (waits 100 ms doubling); the 6.335 s poll
+	// finds the message. The 10 s activation ends at 16.335 s and its
+	// submission kicks the listener: empty polls at 16.34 s, then
+	// 16.345 s right after the kick, then 16.45, 16.655, 17.06, 17.865,
+	// 19.47, 22.675, 29.08 and 39.085 s, where the waits reach the 10 s
+	// TriggerMaxPoll cap. The next poll would be after the 40 s stop.
+	if got := q.Stats().EmptyPolls; got != 16 {
+		t.Fatalf("empty polls = %d, want 16; idle polling must be metered", got)
 	}
 }
 

@@ -2,7 +2,9 @@
 // SQS analogue). Its defining property for this study is the billing
 // model: every enqueue, dequeue, *and empty poll* is a metered storage
 // transaction, which is the mechanism behind Azure Durable Functions'
-// idle-time charges (paper §II-B, §V-A).
+// idle-time charges (paper §II-B, §V-A). Consumers poll: once with
+// TryDequeue, or in the adaptive back-off loop Listen that the Azure
+// queue trigger and the classic Durable task hub both run.
 package queue
 
 import (
@@ -15,19 +17,13 @@ import (
 	"statebench/internal/sim"
 )
 
-// Params describes a queue's latency, payload, and polling behavior.
+// Params describes a queue's latency, payload, and redelivery behavior.
 type Params struct {
 	// OpLatency is the per-operation service latency.
 	OpLatency sim.Dist
 	// MaxPayload is the maximum message size in bytes (0 = unlimited).
 	// Azure Storage Queues and SQS both cap at 256 KB.
 	MaxPayload int
-	// MinPoll and MaxPoll bound the poller's adaptive back-off interval.
-	MinPoll time.Duration
-	MaxPoll time.Duration
-	// PollBackoff is the multiplicative back-off factor applied to the
-	// poll interval after each empty poll (>= 1).
-	PollBackoff float64
 	// VisibilityTimeout is how long a message stays invisible after a
 	// failed (chaos-redelivered) or duplicated delivery before it
 	// reappears at the tail of the queue.
@@ -40,15 +36,11 @@ type Params struct {
 }
 
 // DefaultParams matches Azure Storage Queue behavior: ~5 ms operations,
-// 256 KB payloads, and the Durable Task Framework's default adaptive
-// polling from 100 ms up to 30 s with 2x back-off.
+// 256 KB payloads, a 30 s visibility timeout and five delivery attempts.
 func DefaultParams() Params {
 	return Params{
 		OpLatency:         sim.LogNormalDist{Median: 5 * time.Millisecond, Sigma: 0.4, Max: 500 * time.Millisecond},
 		MaxPayload:        256 * 1024,
-		MinPoll:           100 * time.Millisecond,
-		MaxPoll:           30 * time.Second,
-		PollBackoff:       2,
 		VisibilityTimeout: 30 * time.Second,
 		MaxDequeueCount:   5,
 	}
@@ -104,8 +96,8 @@ func (s Stats) Transactions() int64 {
 }
 
 // Queue is a simulated storage queue. Receivers use polling (TryDequeue
-// or Poll), never push delivery — that is exactly the storage-queue
-// model whose transaction costs the paper characterizes.
+// or a Listen loop), never push delivery — that is exactly the
+// storage-queue model whose transaction costs the paper characterizes.
 type Queue struct {
 	k      *sim.Kernel
 	rng    *sim.RNG
@@ -128,9 +120,6 @@ type Queue struct {
 
 // New creates an empty queue named name, instrumented through hooks.
 func New(k *sim.Kernel, name string, params Params, hooks *instr.Hooks) *Queue {
-	if params.PollBackoff < 1 {
-		params.PollBackoff = 1
-	}
 	return &Queue{k: k, rng: k.Stream("queue/" + name), name: name, params: params, hooks: hooks}
 }
 
@@ -257,27 +246,6 @@ func (q *Queue) settleInvisible(m *Message, delivered bool) {
 // DeadLetters returns the poison messages moved off the queue, in
 // move order. The slice is owned by the queue.
 func (q *Queue) DeadLetters() []*Message { return q.dead }
-
-// Poll blocks the calling process until a message is available, using
-// the queue's adaptive polling policy: poll, back off on empty, reset on
-// success. Every poll (empty or not) is metered. stop, if non-nil, is
-// checked between polls and aborts the wait when completed.
-func (q *Queue) Poll(p *sim.Proc, stop *sim.Future[struct{}]) (*Message, bool) {
-	interval := q.params.MinPoll
-	for {
-		if stop != nil && stop.Done() {
-			return nil, false
-		}
-		if m, ok := q.TryDequeue(p); ok {
-			return m, true
-		}
-		p.Sleep(interval)
-		interval = time.Duration(float64(interval) * q.params.PollBackoff)
-		if interval > q.params.MaxPoll {
-			interval = q.params.MaxPoll
-		}
-	}
-}
 
 // PeekAge returns the age of the oldest message, or 0 if empty.
 // Control-plane only (used by autoscalers, which in the real systems

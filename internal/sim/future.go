@@ -90,6 +90,16 @@ func (f *Future[T]) AwaitTimeout(p *Proc, d time.Duration) (v T, err error, ok b
 	if f.done {
 		return f.val, f.err, true
 	}
+	// The timeout won: drop this waiter's completion entry so a future
+	// awaited again and again (an idle listener's wake signal) does not
+	// accumulate one stale no-op wake-up per timeout. It was appended
+	// last, so the scan from the tail is O(1) for a single waiter.
+	for i := len(f.cbs) - 1; i >= 0; i-- {
+		if c := f.cbs[i]; c.p == p && c.gen == gen {
+			f.cbs = append(f.cbs[:i], f.cbs[i+1:]...)
+			break
+		}
+	}
 	return v, nil, false
 }
 

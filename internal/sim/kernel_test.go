@@ -254,6 +254,39 @@ func TestAwaitTimeoutBeatenByCompletion(t *testing.T) {
 	}
 }
 
+func TestAwaitTimeoutDropsStaleCompletions(t *testing.T) {
+	k := NewKernel(1)
+	f := NewFuture[int](k)
+	called := 0
+	f.OnComplete(func(int, error) { called++ })
+	const n = 50
+	timeouts := 0
+	k.Spawn("listener", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			if _, _, ok := f.AwaitTimeout(p, time.Second); !ok {
+				timeouts++
+			}
+			// Only the OnComplete callback may remain registered.
+			if len(f.cbs) > 1 {
+				t.Errorf("after timeout %d: %d completion entries, want <= 1", i+1, len(f.cbs))
+			}
+		}
+	})
+	k.Run()
+	if timeouts != n {
+		t.Fatalf("timeouts = %d, want %d", timeouts, n)
+	}
+	before := k.Pending()
+	f.Complete(1, nil)
+	if got := k.Pending() - before; got != 1 {
+		t.Fatalf("Complete scheduled %d events, want 1 (the callback; no stale wake-ups)", got)
+	}
+	k.Run()
+	if called != 1 {
+		t.Fatalf("callback ran %d times, want 1", called)
+	}
+}
+
 func TestAwaitAllOrderAndError(t *testing.T) {
 	k := NewKernel(1)
 	fs := []*Future[int]{NewFuture[int](k), NewFuture[int](k), NewFuture[int](k)}
